@@ -24,68 +24,33 @@ SORT, COLOR), or with ``--frontend python`` a
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .core.strategies import run_strategy
-from .core.workunits import RUNNERS
-from .frontends import frontend_names
 from .liw.machine import MachineConfig
-from .passes.artifacts import PipelineOptions, compiled_program
+from .passes.artifacts import (
+    OPTIONS,
+    WIRE_OPTIONS,
+    OptionSpec,
+    PipelineOptions,
+    compiled_program,
+)
 from .passes.events import CollectingTracer
-from .pipeline import compile_source, run_pipeline, simulate
+from .pipeline import run_pipeline
 from .programs import get_program, program_names
-
-
-def _machine(args: argparse.Namespace) -> MachineConfig:
-    return MachineConfig(
-        num_fus=args.fus, num_modules=args.modules, delta=args.delta
-    )
 
 
 def _options(args: argparse.Namespace) -> PipelineOptions:
     """The pass-pipeline configuration one CLI invocation describes."""
-    options = PipelineOptions(
-        machine=_machine(args),
-        unroll=args.unroll,
-        constants_in_memory=args.memory_constants,
-        simplify=args.simplify,
-        rename_mode=args.rename_mode,
-        strategy=args.strategy,
-        method=args.method,
-        seed=args.seed,
-        runner=args.runner,
-        array_layout=args.array_layout,
-        layout=args.layout,
-        delta=args.delta,
-        frontend=args.frontend,
-        py_entry=args.entry,
+    machine = MachineConfig(
+        num_fus=args.fus, num_modules=args.modules, delta=args.delta
     )
-    if args.max_atom_nodes is not None:
-        # In the knobs (not a dedicated field) so it feeds the allocate
-        # pass's fingerprint — it changes results, unlike the runner.
-        options = options.with_knobs(max_atom_nodes=args.max_atom_nodes)
-    return options
-
-
-def _strategy_kwargs(args: argparse.Namespace) -> dict[str, object]:
-    """Work-unit knobs for the direct run_strategy call sites."""
-    kwargs: dict[str, object] = {"runner": args.runner}
-    if args.max_atom_nodes is not None:
-        kwargs["max_atom_nodes"] = args.max_atom_nodes
-    return kwargs
-
-
-def _compile(args: argparse.Namespace, source: str):
-    return compile_source(
-        source,
-        _machine(args),
-        unroll=args.unroll,
-        constants_in_memory=args.memory_constants,
-        simplify=args.simplify,
-        rename_mode=args.rename_mode,
-        frontend=args.frontend,
-        py_entry=args.entry,
+    return PipelineOptions.build(
+        machine=machine,
+        **{spec.name: getattr(args, spec.name) for spec in OPTIONS
+           if spec.flag is not None},
     )
 
 
@@ -96,14 +61,18 @@ def _parse_input_value(text: str) -> object:
         return float(text)
 
 
-def _maybe_plan(args: argparse.Namespace, program, storage):
-    """The array-layout optimizer's plan when ``--array-layout
-    optimize`` was given, else None."""
-    if args.array_layout != "optimize":
-        return None
-    from .core.arraylayout import optimize_arrays
-
-    return optimize_arrays(program.schedule, storage, seed=args.seed)
+def _outputs_match(outputs: list[object], reference: list[object]) -> bool:
+    """Equal lengths and values: ints exactly, floats to rel 1e-9."""
+    if len(outputs) != len(reference):
+        return False
+    for got, want in zip(outputs, reference):
+        if isinstance(got, float) or isinstance(want, float):
+            if not math.isclose(float(got), float(want),  # type: ignore[arg-type]
+                                rel_tol=1e-9, abs_tol=1e-12):
+                return False
+        elif got != want:
+            return False
+    return True
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -116,7 +85,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     source = Path(args.program).read_text()
     tracer = CollectingTracer()
     run = run_pipeline(
-        source, _options(args), tracer=tracer, delta_cache=DeltaCache()
+        source, args.options, tracer=tracer, delta_cache=DeltaCache()
     )
     program = compiled_program(run.store)
     storage = run.artifact("storage")
@@ -145,23 +114,17 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    source = Path(args.program).read_text()
-    program = _compile(args, source)
-    storage = run_strategy(
-        args.strategy, program.schedule, program.renamed,
-        method=args.method, seed=args.seed, **_strategy_kwargs(args),
-    )
     inputs = [_parse_input_value(v) for v in args.input]
-    plan = _maybe_plan(args, program, storage)
-    result = simulate(
-        program, storage.allocation, inputs, layout=args.layout,
-        delta=args.delta, plan=plan,
+    run = run_pipeline(
+        Path(args.program).read_text(), args.options, inputs=inputs
     )
+    result = run.artifact("simulation")
     for value in result.outputs:
         print(value)
     mem = result.memory
     opt_note = (
-        f" t_opt/t_min={mem.actual_ratio:.3f}" if plan is not None else ""
+        f" t_opt/t_min={mem.actual_ratio:.3f}"
+        if run.store.has("array_plan") else ""
     )
     print(
         f"; cycles={result.cycles} stalls={mem.stall_time:.0f} "
@@ -174,17 +137,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     spec = get_program(args.name)
-    program = _compile(args, spec.source)
-    storage = run_strategy(
-        args.strategy, program.schedule, program.renamed,
-        method=args.method, seed=args.seed, **_strategy_kwargs(args),
-    )
-    result = simulate(
-        program, storage.allocation, list(spec.inputs), layout=args.layout,
-        plan=_maybe_plan(args, program, storage),
-    )
+    run = run_pipeline(spec.source, args.options, inputs=list(spec.inputs))
+    program = compiled_program(run.store)
+    storage = run.artifact("storage")
+    result = run.artifact("simulation")
     reference = spec.reference(spec.inputs) if spec.reference else None
-    ok = reference is None or len(result.outputs) == len(reference)
+    ok = reference is None or _outputs_match(result.outputs, reference)
     mem = result.memory
     print(f"{spec.name}: {spec.description}")
     print(f"  long instructions: {program.schedule.num_instructions}")
@@ -204,53 +162,19 @@ def cmd_batch(args: argparse.Namespace) -> int:
     from .service import AllocationCache, BatchCompiler, BatchJob
     from .service.cache import encode_storage_result
 
-    machine = _machine(args)
-    if args.frontend == "python":
-        # The corpus is the pykernels registry: real Python functions
-        # compiled through the CPython-bytecode frontend.
-        kernels = (
-            [get_pykernel(name) for name in args.names]
-            if args.names
-            else all_pykernels()
-        )
-        jobs = [
-            BatchJob(
-                spec.name,
-                spec.source,
-                machine,
-                strategy=args.strategy,
-                method=args.method,
-                unroll=args.unroll,
-                constants_in_memory=args.memory_constants,
-                max_atom_nodes=args.max_atom_nodes,
-                runner=args.runner,
-                array_layout=args.array_layout,
-                frontend="python",
-                entry=spec.entry,
-            )
-            for spec in kernels
-        ]
-    else:
-        specs = (
-            [get_program(name) for name in args.names]
-            if args.names
-            else all_programs()
-        )
-        jobs = [
-            BatchJob(
-                spec.name,
-                spec.source,
-                machine,
-                strategy=args.strategy,
-                method=args.method,
-                unroll=args.unroll,
-                constants_in_memory=args.memory_constants,
-                max_atom_nodes=args.max_atom_nodes,
-                runner=args.runner,
-                array_layout=args.array_layout,
-            )
-            for spec in specs
-        ]
+    # With --frontend python the corpus is the pykernels registry: real
+    # Python functions compiled through the CPython-bytecode frontend.
+    python = args.frontend == "python"
+    get, every = (
+        (get_pykernel, all_pykernels) if python else (get_program, all_programs)
+    )
+    specs = [get(name) for name in args.names] if args.names else every()
+    jobs = [
+        BatchJob(spec.name, spec.source,
+                 replace(args.options, py_entry=spec.entry)
+                 if python else args.options)
+        for spec in specs
+    ]
     compiler = BatchCompiler(
         workers=args.workers,
         timeout=args.timeout,
@@ -463,44 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fus", type=int, default=4, help="functional units")
         p.add_argument("--modules", "-k", type=int, default=8,
                        help="memory modules")
-        p.add_argument("--delta", type=float, default=1.0,
-                       help="Δ: one module transfer time")
-        p.add_argument("--unroll", type=int, default=1, help="unroll factor")
-        p.add_argument("--memory-constants", action="store_true",
-                       help="place large literals in data memory")
-        p.add_argument("--strategy", default="STOR1",
-                       choices=["STOR1", "STOR2", "STOR3"])
-        p.add_argument("--method", default="hitting_set",
-                       choices=["hitting_set", "backtrack"])
-        p.add_argument("--layout", default="interleaved",
-                       choices=["interleaved", "skewed", "per_array", "single"])
-        p.add_argument("--no-simplify", dest="simplify",
-                       action="store_false",
-                       help="skip the CFG simplification pass")
-        p.add_argument("--rename-mode", default="web",
-                       choices=["web", "variable"],
-                       help="value-renaming granularity")
-        p.add_argument("--seed", type=int, default=0,
-                       help="tie-break seed for the storage strategies")
-        p.add_argument("--runner", default="serial", choices=list(RUNNERS),
-                       help="atom work-unit execution mode (results are "
-                            "identical across runners)")
-        p.add_argument("--max-atom-nodes", type=int, default=None,
-                       help="clique-separator decomposition bound "
-                            "(components above it are coloured whole)")
-        p.add_argument("--array-layout", default="fixed",
-                       choices=["fixed", "optimize"],
-                       help="'optimize' runs the compile-time array "
-                            "bank-conflict minimizer (layout search + "
-                            "dependence-legal schedule moves)")
-        p.add_argument("--frontend", default="mini",
-                       choices=list(frontend_names()),
-                       help="source language: 'mini' (the paper's "
-                            "mini-language) or 'python' (compile a "
-                            "CPython function's bytecode)")
-        p.add_argument("--entry", default="",
-                       help="entry-function name for --frontend python "
-                            "(default: the single top-level function)")
+        for spec in OPTIONS:
+            if spec.flag is None:
+                continue
+            if spec.type is bool:
+                action = "store_false" if spec.default else "store_true"
+                p.add_argument(spec.flag, dest=spec.name, action=action,
+                               help=spec.help)
+            else:
+                p.add_argument(spec.flag, dest=spec.name,
+                               default=spec.default,
+                               type=_option_type(spec), help=spec.help)
 
     p_compile = sub.add_parser("compile", help="compile and allocate")
     p_compile.add_argument("program")
@@ -608,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--dup-rate", type=float, default=0.4,
                         help="fraction of duplicate requests")
     p_load.add_argument("--strategy", default="STOR1",
-                        choices=["STOR1", "STOR2", "STOR3"])
+                        type=_option_type(WIRE_OPTIONS["strategy"]))
     p_load.add_argument("--deadline", type=float, default=30.0,
                         help="per-request deadline (seconds)")
     p_load.add_argument("--seed", type=int, default=0)
@@ -627,8 +524,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_type(spec: OptionSpec):
+    """argparse ``type=`` for one declared option: its one check, with
+    a failure reported as a usage error."""
+
+    def convert(text: str) -> object:
+        try:
+            return spec.check(spec.type(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "fus"):  # a command taking the compile options
+        try:
+            args.options = _options(args)
+        except ValueError as exc:  # e.g. MachineConfig rejecting -k 0
+            parser.error(str(exc))
     return args.fn(args)
 
 

@@ -206,7 +206,7 @@ def format_batch_report(report: "BatchReport") -> str:
             cols = f"{'-':>4s} {'-':>4s} {'-':>6s}"
         hit = "y" if r.cache_hit else "."
         lines.append(
-            f"{r.job.name:10s} {r.job.strategy.upper():8s} {r.mode:15s} "
+            f"{r.job.name:10s} {r.job.options.strategy:8s} {r.mode:15s} "
             f"{hit:3s} {cols} {r.wall_time:7.3f}s"
             + (f"  ! {r.error}" if r.error else "")
         )

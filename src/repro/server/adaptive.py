@@ -206,15 +206,16 @@ def _candidate_tiers(
 ):
     """Yield ``(tier, describe, thunk)`` lazily so the budget check sits
     between solver runs, not after an eager list was already paid for."""
+    options = job.options
     for tier in config.tiers:
         if tier == "sweep":
             for strategy in config.sweep_strategies:
                 for method in config.sweep_methods:
                     for seed in config.sweep_seeds:
                         if (
-                            strategy.upper() == job.strategy.upper()
-                            and method == job.method
-                            and seed == job.seed
+                            strategy.upper() == options.strategy
+                            and method == options.method
+                            and seed == options.seed
                         ):
                             continue  # the baseline itself
                         yield (
@@ -223,7 +224,7 @@ def _candidate_tiers(
                             lambda s=strategy, m=method, sd=seed: (
                                 run_strategy(
                                     s, program.schedule, program.renamed,
-                                    job.k, method=m, seed=sd,
+                                    options.k, method=m, seed=sd,
                                 )
                             ),
                         )
@@ -234,7 +235,7 @@ def _candidate_tiers(
                     f"profiled/{method}",
                     lambda m=method: profile_guided_stor1(
                         program.schedule, program.renamed, [],
-                        k=job.k, method=m, seed=job.seed,
+                        k=options.k, method=m, seed=options.seed,
                     ),
                 )
         elif tier == "exact":
@@ -317,7 +318,7 @@ def compute_upgrade(
     operand_sets, _, duplicable, all_values = _program_facts(
         program.schedule, program.renamed
     )
-    k = job.k if job.k is not None else job.machine.k
+    k = job.options.k or job.options.resolved_machine().k
     base_score, base_outputs = _score(baseline, operand_sets, program)
 
     best: StorageResult | None = None

@@ -28,6 +28,7 @@ import json
 import random
 import socket
 
+from ..passes.artifacts import WIRE_OPTIONS
 from .protocol import MAX_LINE_BYTES, encode_message
 
 
@@ -195,38 +196,21 @@ class ServerClient:
         source: str,
         *,
         name: str = "request",
-        strategy: str = "STOR1",
-        method: str = "hitting_set",
-        unroll: int = 1,
-        constants_in_memory: bool = False,
-        k: int | None = None,
-        seed: int = 0,
         machine: dict[str, object] | None = None,
-        array_layout: str = "fixed",
-        frontend: str = "mini",
-        entry: str = "",
         deadline_ms: float | None = None,
         include_allocation: bool = False,
+        **options: object,
     ) -> dict[str, object]:
-        fields: dict[str, object] = {
-            "source": source,
-            "name": name,
-            "strategy": strategy,
-            "method": method,
-            "unroll": unroll,
-            "constants_in_memory": constants_in_memory,
-            "seed": seed,
-        }
-        if k is not None:
-            fields["k"] = k
+        """Compile ``source``; ``options`` are compile options by wire
+        name (:data:`~repro.passes.artifacts.WIRE_OPTIONS`: ``strategy``,
+        ``unroll``, ``entry``, ...).  Unset options take the server's
+        defaults, which are the options' declared defaults."""
+        unknown = sorted(set(options) - set(WIRE_OPTIONS))
+        if unknown:
+            raise TypeError(f"unknown compile option(s): {unknown}")
+        fields: dict[str, object] = {"source": source, "name": name, **options}
         if machine is not None:
             fields["machine"] = machine
-        if array_layout != "fixed":
-            fields["array_layout"] = array_layout
-        if frontend != "mini":
-            fields["frontend"] = frontend
-            if entry:
-                fields["entry"] = entry
         if deadline_ms is not None:
             fields["deadline_ms"] = deadline_ms
         if include_allocation:

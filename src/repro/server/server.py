@@ -359,8 +359,8 @@ class WorkerCore:
         payload: dict[str, object] = {
             "key": result.key,
             "name": request.job.name if request.job else None,
-            "strategy": result.job.strategy,
-            "method": result.job.method,
+            "strategy": result.job.options.strategy,
+            "method": result.job.options.method,
             "singles": result.storage.singles,
             "multiples": result.storage.multiples,
             "total_copies": result.storage.total_copies,

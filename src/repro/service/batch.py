@@ -35,11 +35,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from ..core.strategies import StorageResult, run_strategy
-from ..liw.machine import MachineConfig
+from ..passes.artifacts import WIRE_OPTIONS, PipelineOptions, compiled_program
 from ..passes.cache import ArtifactCache
 from ..passes.delta import DeltaCache, DeltaScope
 from ..passes.events import Metrics
-from ..pipeline import compile_source
+from ..passes.registry import frontend_passes_for
+from ..pipeline import run_pipeline
 from .cache import (
     AllocationCache,
     _canonical,
@@ -63,66 +64,37 @@ _WORKER_DELTA = DeltaCache()
 
 @dataclass(frozen=True, slots=True)
 class BatchJob:
-    """One (source, machine, strategy-configuration) compilation unit."""
+    """One compilation unit: a named source and the options to compile
+    it with.  Construction checks every declared option."""
 
     name: str
     source: str
-    machine: MachineConfig = MachineConfig()
-    strategy: str = "STOR1"
-    method: str = "hitting_set"
-    unroll: int = 1
-    constants_in_memory: bool = False
-    k: int | None = None
-    seed: int = 0
-    #: clique-separator decomposition bound; changes results, so it is
-    #: part of the job's cache keys whenever set.
-    max_atom_nodes: int | None = None
-    #: work-unit execution mode ('serial'/'auto'/'threads'/'processes').
-    #: Pure execution policy — results are byte-identical across
-    #: runners — so it is deliberately NOT part of any cache key.
-    runner: str = "serial"
-    #: 'fixed' (default) or 'optimize': run the compile-time
-    #: bank-conflict minimizer after allocation.  Enters cache keys
-    #: only when 'optimize', so keys of existing corpora are unchanged.
-    array_layout: str = "fixed"
-    #: source-language frontend ('mini' or 'python').  Enters the
-    #: source key only when non-default, so keys of existing
-    #: mini-language corpora are unchanged.
-    frontend: str = "mini"
-    #: entry-function name for the python frontend ('' = the single
-    #: top-level function in the source).
-    entry: str = ""
+    options: PipelineOptions = PipelineOptions()
 
     def __post_init__(self) -> None:
-        from ..frontends import validate_frontend_name
+        object.__setattr__(self, "options", self.options.checked())
 
-        validate_frontend_name(self.frontend)
+    def __getattr__(self, name: str) -> object:
+        # Read-only view of an option by its wire name (``job.entry``,
+        # ``job.max_atom_nodes``) and of the resolved machine.
+        if name == "machine":
+            return self.options.resolved_machine()
+        spec = WIRE_OPTIONS.get(name)
+        if spec is None:
+            raise AttributeError(name)
+        return spec.get(self.options)
 
     def source_key(self) -> str:
         """Cheap parent-side key over the *inputs* of the job — used to
         find the content key of an already-compiled job without
         recompiling.  Distinct sources may still map to the same content
         key (and share a cache entry); this index is only a shortcut."""
-        m = self.machine
+        m = self.options.resolved_machine()
         payload = {
             "source": self.source,
             "machine": [m.num_fus, m.num_modules, m.ports, m.delta],
-            "strategy": self.strategy.upper(),
-            "method": self.method,
-            "unroll": self.unroll,
-            "constants_in_memory": self.constants_in_memory,
-            "k": m.k if self.k is None else self.k,
-            "seed": self.seed,
+            **self.options.key_fields(),
         }
-        # Only when set, so keys of existing corpora are unchanged.
-        if self.max_atom_nodes is not None:
-            payload["max_atom_nodes"] = self.max_atom_nodes
-        if self.array_layout != "fixed":
-            payload["array_layout"] = self.array_layout
-        if self.frontend != "mini":
-            payload["frontend"] = self.frontend
-            if self.entry:
-                payload["entry"] = self.entry
         return hashlib.sha256(_canonical(payload)).hexdigest()
 
 
@@ -151,8 +123,8 @@ class JobResult:
     def summary(self) -> dict[str, object]:
         out: dict[str, object] = {
             "name": self.job.name,
-            "strategy": self.job.strategy.upper(),
-            "method": self.job.method,
+            "strategy": self.job.options.strategy,
+            "method": self.job.options.method,
             "mode": self.mode,
             "cache_hit": self.cache_hit,
             "wall_time": self.wall_time,
@@ -230,28 +202,22 @@ class BatchReport:
 def _compile_and_key(
     job: BatchJob, metrics: Metrics, artifacts: ArtifactCache | None = None
 ):
-    program = compile_source(
+    options = job.options
+    run = run_pipeline(
         job.source,
-        job.machine,
-        unroll=job.unroll,
-        constants_in_memory=job.constants_in_memory,
+        options,
+        passes=frontend_passes_for(options.frontend),
         metrics=metrics,
         cache=artifacts,
-        frontend=job.frontend,
-        py_entry=job.entry,
     )
-    knobs: dict[str, object] = {"seed": job.seed}
-    if job.max_atom_nodes is not None:
-        knobs["max_atom_nodes"] = job.max_atom_nodes
-    if job.array_layout != "fixed":
-        knobs["array_layout"] = job.array_layout
+    program = compiled_program(run.store)
     key = job_key(
         program_fingerprint(program.schedule, program.renamed),
-        job.machine,
-        job.strategy,
-        job.method,
-        job.k,
-        **knobs,
+        options.resolved_machine(),
+        options.strategy,
+        options.method,
+        options.k,
+        **options.key_fields(job_knobs=True),
     )
     return program, key
 
@@ -262,23 +228,21 @@ def _allocate(
     metrics: Metrics,
     delta: DeltaCache | None = None,
 ) -> StorageResult:
-    kwargs: dict[str, object] = {}
-    if job.max_atom_nodes is not None:
-        kwargs["max_atom_nodes"] = job.max_atom_nodes
+    options = job.options
     # Same scope name the pass manager uses for the allocate pass, so
     # fragments are shared across the batch and pipeline entry points.
     scope = DeltaScope(delta, "allocate") if delta is not None else None
     storage = run_strategy(
-        job.strategy,
+        options.strategy,
         program.schedule,
         program.renamed,
-        job.k,
-        method=job.method,
-        seed=job.seed,
+        options.k,
+        method=options.method,
+        seed=options.seed,
         metrics=metrics,
-        runner=job.runner,
+        runner=options.runner,
         delta=scope,
-        **kwargs,
+        **options.knobs(),
     )
     if scope is not None and scope.lookups:
         metrics.incr("delta_hits", scope.hits)
@@ -293,7 +257,7 @@ def _optimize_plan(job: BatchJob, program, storage: StorageResult,
     cache hits — it is derived state, never persisted in the cache."""
     from ..core.arraylayout import optimize_arrays
 
-    plan = optimize_arrays(program.schedule, storage, seed=job.seed)
+    plan = optimize_arrays(program.schedule, storage, seed=job.options.seed)
     metrics.incr("array_opt_runs")
     metrics.incr("array_moves", plan.num_moves)
     metrics.incr("array_conflicts_predicted", round(plan.predicted_before))
@@ -320,7 +284,7 @@ def _execute_job(
     if cache is not None and not hit:
         cache.put(key, storage)
     mdict = metrics.as_dict()
-    if job.array_layout == "optimize":
+    if job.options.array_layout == "optimize":
         # The plan rides home in the (picklable) metrics dict; the
         # parent rebuilds the typed ArrayLayoutPlan from it.
         plan = _optimize_plan(job, program, storage, metrics)
@@ -425,7 +389,7 @@ class BatchCompiler:
                 self.cache.put(key, storage)
             metrics.incr("cache_hits" if hit else "cache_misses")
             plan = None
-            if job.array_layout == "optimize":
+            if job.options.array_layout == "optimize":
                 plan = _optimize_plan(job, program, storage, metrics)
             self._index[job.source_key()] = key
             return JobResult(
@@ -441,7 +405,7 @@ class BatchCompiler:
 
     def _try_index(self, job: BatchJob) -> JobResult | None:
         """Serve a job straight from the cache via the source index."""
-        if job.array_layout == "optimize":
+        if job.options.array_layout == "optimize":
             # The layout plan is derived from the compiled schedule and
             # is not persisted; optimize jobs always at least compile.
             return None

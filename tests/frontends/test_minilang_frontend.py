@@ -21,6 +21,7 @@ from repro.frontends import (
 from repro.ir.passes import LOWER, UNROLL
 from repro.lang.passes import PARSE, SEMA
 from repro.liw.machine import MachineConfig
+from repro.passes.artifacts import PipelineOptions
 from repro.passes.registry import (
     COMPILE_PASSES,
     FRONTEND_PASSES,
@@ -55,7 +56,9 @@ def test_validate_frontend_name():
 
 def test_batchjob_validates_frontend():
     with pytest.raises(UnknownFrontendError):
-        BatchJob("x", "y", MachineConfig(), frontend="fortran")
+        BatchJob("x", "y", PipelineOptions(
+            machine=MachineConfig(), frontend="fortran"
+        ))
 
 
 # -- pass-tuple identity ----------------------------------------------------
@@ -132,26 +135,31 @@ def test_default_path_program_fingerprint_and_job_keys_unchanged():
 
 def test_mini_source_keys_unchanged_by_frontend_field():
     spec = get_program("TAYLOR1")
-    default = BatchJob(spec.name, spec.source, MachineConfig())
+    default = BatchJob(
+        spec.name, spec.source, PipelineOptions(machine=MachineConfig())
+    )
     assert default.source_key() == PINNED_SOURCE_KEY_DEFAULT
     knobs = BatchJob(
-        spec.name, spec.source, MachineConfig(),
-        strategy="STOR2", method="backtrack", unroll=2, seed=3,
+        spec.name, spec.source, PipelineOptions(
+            machine=MachineConfig(),
+            strategy="STOR2", method="backtrack", unroll=2, seed=3,
+        ),
     )
     assert knobs.source_key() == PINNED_SOURCE_KEY_KNOBS
     # an explicit default frontend is the same key (enters only when
     # non-default, mirroring the max_atom_nodes discipline)
     explicit = BatchJob(
-        spec.name, spec.source, MachineConfig(), frontend="mini"
+        spec.name, spec.source,
+        PipelineOptions(machine=MachineConfig(), frontend="mini"),
     )
     assert explicit.source_key() == PINNED_SOURCE_KEY_DEFAULT
 
 
 def test_python_frontend_enters_the_source_key():
     src = "def f():\n    write(1)\n"
-    a = BatchJob("f", src, MachineConfig(), frontend="python")
-    b = BatchJob("f", src, MachineConfig(), frontend="python", entry="f")
-    c = BatchJob("f", src, MachineConfig())
+    a = BatchJob("f", src, PipelineOptions(frontend="python"))
+    b = BatchJob("f", src, PipelineOptions(frontend="python", py_entry="f"))
+    c = BatchJob("f", src, PipelineOptions(machine=MachineConfig()))
     assert a.source_key() != c.source_key()
     assert a.source_key() != b.source_key()  # entry is part of the key
 

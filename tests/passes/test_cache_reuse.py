@@ -124,9 +124,9 @@ def test_compile_source_shares_cache():
 
 def test_batch_compiler_reuses_front_end_across_strategies(tmp_path):
     jobs = [
-        BatchJob("fft-stor1", SRC, strategy="STOR1"),
-        BatchJob("fft-stor2", SRC, strategy="STOR2"),
-        BatchJob("fft-stor3", SRC, strategy="STOR3"),
+        BatchJob("fft-stor1", SRC, PipelineOptions(strategy="STOR1")),
+        BatchJob("fft-stor2", SRC, PipelineOptions(strategy="STOR2")),
+        BatchJob("fft-stor3", SRC, PipelineOptions(strategy="STOR3")),
     ]
     compiler = BatchCompiler(workers=1)
     report = compiler.run(jobs)

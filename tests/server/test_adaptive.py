@@ -25,6 +25,7 @@ from repro.core.strategies import StorageResult, _program_facts, run_strategy
 from repro.core.allocation import Allocation
 from repro.lang.generator import random_source
 from repro.liw.machine import MachineConfig
+from repro.passes.artifacts import PipelineOptions
 from repro.passes.events import Metrics
 from repro.programs import all_programs
 from repro.server import adaptive as adaptive_mod
@@ -59,11 +60,12 @@ def _seed_baseline(
 ) -> tuple[BatchJob, object, str, StorageResult]:
     """Compile ``source`` and install the synchronous-path heuristic
     result in the cache, exactly as a served request would."""
-    job = BatchJob(name, source, machine=MACHINE)
+    job = BatchJob(name, source, PipelineOptions(machine=MACHINE))
     program, key = _compile_and_key(job, Metrics(), None)
+    options = job.options
     storage = run_strategy(
-        job.strategy, program.schedule, program.renamed, job.k,
-        method=job.method, seed=job.seed,
+        options.strategy, program.schedule, program.renamed, options.k,
+        method=options.method, seed=options.seed,
     )
     cache.put(key, storage)
     return job, program, key, storage
@@ -370,7 +372,7 @@ def test_worker_crash_engine_survives(monkeypatch):
 def test_note_served_threshold_and_once_only():
     async def scenario():
         cache = AllocationCache()
-        job = BatchJob("x", HOT_SRC, machine=MACHINE)
+        job = BatchJob("x", HOT_SRC, PipelineOptions(machine=MACHINE))
         engine = UpgradeEngine(cache, AdaptiveConfig(hot_threshold=5))
         # below threshold: tracked but not queued
         for _ in range(4):

@@ -7,8 +7,10 @@ import random
 
 import pytest
 
+from repro.liw.machine import MachineConfig
+from repro.passes.artifacts import WIRE_OPTIONS, PipelineOptions
 from repro.server.client import ServerClient, TransportError
-from repro.server.protocol import encode_message
+from repro.server.protocol import encode_message, parse_request
 
 
 def test_backoff_is_exponential_capped_and_jittered():
@@ -195,3 +197,51 @@ def test_request_ids_increment():
         assert ids == [1, 2]
 
     asyncio.run(main())
+
+
+# A non-default value for every wire option; the assertion on the keys
+# makes a new wire option fail here until it is given a sample.
+WIRE_SAMPLES = {
+    "frontend": "python",
+    "entry": "f",
+    "unroll": 3,
+    "constants_in_memory": True,
+    "strategy": "STOR2",
+    "method": "backtrack",
+    "k": 4,
+    "seed": 7,
+    "max_atom_nodes": 6,
+    "runner": "threads",
+    "array_layout": "optimize",
+}
+
+
+def test_every_wire_option_round_trips_through_client_and_protocol():
+    assert set(WIRE_SAMPLES) == set(WIRE_OPTIONS)
+    for spec in WIRE_OPTIONS.values():
+        assert WIRE_SAMPLES[spec.wire] != spec.default, spec.wire
+    sent = {}
+
+    async def capture(op, **fields):
+        sent.update(op=op, **fields)
+        return {"status": "ok"}
+
+    client = ServerClient()
+    client.request = capture
+    machine = {"num_fus": 2, "num_modules": 4}
+    asyncio.run(client.compile(
+        "def f():\n    write(1)\n", name="rt", machine=machine,
+        **WIRE_SAMPLES,
+    ))
+    job = parse_request(json.loads(json.dumps(sent))).job
+    assert job is not None and job.name == "rt"
+    assert job.options == PipelineOptions.build(
+        machine=MachineConfig(**machine),
+        **{WIRE_OPTIONS[w].name: v for w, v in WIRE_SAMPLES.items()},
+    )
+
+
+def test_client_rejects_unknown_compile_options():
+    with pytest.raises(TypeError, match="fibers"):
+        asyncio.run(ServerClient().compile("program p; begin end.",
+                                           fibers=2))

@@ -123,6 +123,13 @@ def test_parse_compile_full():
         ({"op": "compile", "source": GOOD_SOURCE, "frontend": "cobol"},
          "frontend"),
         ({"op": "compile", "source": GOOD_SOURCE, "entry": 7}, "entry"),
+        ({"op": "compile", "source": GOOD_SOURCE, "unroll": 65}, "unroll"),
+        ({"op": "compile", "source": GOOD_SOURCE, "strategy": 1},
+         "strategy"),
+        ({"op": "compile", "source": GOOD_SOURCE,
+          "constants_in_memory": "false"}, "constants_in_memory"),
+        ({"op": "compile", "source": GOOD_SOURCE,
+          "constants_in_memory": 1}, "constants_in_memory"),
     ],
 )
 def test_parse_rejects_invalid_requests(obj, fragment):

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.liw.machine import MachineConfig
+from repro.passes.artifacts import PipelineOptions
 from repro.programs import all_programs
 from repro.service import AllocationCache, BatchCompiler, BatchJob
 from repro.service.batch import _execute_job
@@ -18,9 +19,7 @@ def _registry_jobs(strategy="STOR1", unroll=1):
         BatchJob(
             spec.name,
             spec.source,
-            machine,
-            strategy=strategy,
-            unroll=unroll,
+            PipelineOptions(machine=machine, strategy=strategy, unroll=unroll),
         )
         for spec in all_programs()
     ]
@@ -203,9 +202,11 @@ def _fft_job(array_layout="fixed", workers_machine_k=8):
     return BatchJob(
         spec.name,
         spec.source,
-        MachineConfig(num_fus=4, num_modules=workers_machine_k),
-        unroll=2,
-        array_layout=array_layout,
+        PipelineOptions(
+            machine=MachineConfig(num_fus=4, num_modules=workers_machine_k),
+            unroll=2,
+            array_layout=array_layout,
+        ),
     )
 
 
@@ -223,8 +224,10 @@ def test_optimize_jobs_produce_a_plan_serial_and_parallel():
     specs = [s for s in all_programs() if s.name in ("FFT", "SORT")]
     jobs = [
         BatchJob(
-            s.name, s.source, MachineConfig(num_fus=4, num_modules=8),
-            unroll=2, array_layout="optimize",
+            s.name, s.source, PipelineOptions(
+                machine=MachineConfig(num_fus=4, num_modules=8),
+                unroll=2, array_layout="optimize",
+            ),
         )
         for s in specs
     ]

@@ -1,6 +1,7 @@
 """Delta-cache wiring through the batch service (near-duplicate jobs)."""
 
 from repro.lang.generator import random_source
+from repro.passes.artifacts import PipelineOptions
 from repro.passes.delta import DeltaCache
 from repro.service.batch import BatchCompiler, BatchJob
 from repro.service.cache import encode_storage_result
@@ -45,10 +46,12 @@ def test_job_key_discipline():
     runner never changes results -> never in the keys."""
     base = BatchJob("j", "program p; begin write(1) end.")
     bounded = BatchJob(
-        "j", "program p; begin write(1) end.", max_atom_nodes=4
+        "j", "program p; begin write(1) end.",
+        PipelineOptions.build(max_atom_nodes=4),
     )
     threaded = BatchJob(
-        "j", "program p; begin write(1) end.", runner="threads"
+        "j", "program p; begin write(1) end.",
+        PipelineOptions(runner="threads"),
     )
     assert bounded.source_key() != base.source_key()
     assert threaded.source_key() == base.source_key()

@@ -185,3 +185,68 @@ def test_batch_array_layout_optimize(tmp_path, capsys):
 
     report = json.loads(report_path.read_text())
     assert report["num_ok"] == 1
+
+
+def _stalls(out: str) -> str:
+    return next(line for line in out.splitlines() if "stalls:" in line)
+
+
+def test_bench_honours_delta(capsys):
+    assert main(["bench", "TAYLOR1", "--delta", "1"]) == 0
+    one = _stalls(capsys.readouterr().out)
+    assert main(["bench", "TAYLOR1", "--delta", "3"]) == 0
+    three = _stalls(capsys.readouterr().out)
+    assert one != three
+
+
+def test_bench_checks_output_values(monkeypatch, capsys):
+    import dataclasses
+
+    import repro.__main__ as cli
+    from repro.programs import get_program
+
+    spec = get_program("TAYLOR1")
+
+    def off_by_one(inputs):
+        return [value + 1 for value in spec.reference(inputs)]
+
+    wrong = dataclasses.replace(spec, reference=off_by_one)
+    monkeypatch.setattr(cli, "get_program", lambda name: wrong)
+    assert main(["bench", "TAYLOR1"]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--unroll", "0"], ["--unroll", "-2"], ["--unroll", "65"],
+     ["-k", "0"], ["--fus", "0"], ["--max-atom-nodes", "0"],
+     ["--strategy", "STOR9"], ["--frontend", "cobol"]],
+)
+def test_invalid_option_values_are_usage_errors(program_file, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", program_file, *flags])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_accepts_every_registered_strategy(program_file, capsys):
+    assert main(["run", program_file, "--strategy", "STOR-REGION"]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[0] == "55"
+
+
+def test_cli_max_atom_nodes_is_the_allocate_knob(program_file):
+    from repro.__main__ import _options
+    from repro.passes.artifacts import PipelineOptions
+    from repro.passes.registry import COMPILE_PASSES
+    from repro.pipeline import run_pipeline
+
+    args = build_parser().parse_args(
+        ["compile", program_file, "--max-atom-nodes", "6"]
+    )
+    source = open(program_file).read()
+    knob = PipelineOptions(machine=_options(args).machine).with_knobs(
+        max_atom_nodes=6
+    )
+    cli = run_pipeline(source, _options(args), passes=COMPILE_PASSES)
+    ref = run_pipeline(source, knob, passes=COMPILE_PASSES)
+    assert cli.fingerprints["allocate"] == ref.fingerprints["allocate"]
