@@ -7,8 +7,9 @@ accesses pile up ``L`` deep on some module spends ``L·Δ`` on transfers.
 The accesses of one instruction are
 
 - its scalar *source* fetches — one module per value, chosen among the
-  value's copies by distinct-representative matching (the fetch unit
-  exploits duplicates, which is how the paper's allocation pays off);
+  value's copies so the deepest pile-up is as shallow as possible (the
+  fetch unit exploits duplicates, which is how the paper's allocation
+  pays off);
 - its scalar *destination* writes — every copy of the destination is
   written (a duplicated value's extra stores are the run-time price of
   replication);
@@ -16,7 +17,8 @@ The accesses of one instruction are
 
 Four aggregate times are reported:
 
-- **t_actual** — array modules from the concrete layout in force;
+- **t_actual** — array modules from the concrete layout in force, which
+  the source fetches steer around;
 - **t_min** — arrays steered so they never conflict (paper's t_min);
 - **t_max** — all arrays in one (worst-choice) module (paper's t_max);
 - **t_ave** — arrays uniformly random: exact ``Σ i·Δ·p(i)`` via
@@ -47,16 +49,18 @@ def scalar_load_vector(
     alloc: Allocation,
     k: int,
     eager_copies: bool = True,
+    busy: tuple[int, ...] = (),
 ) -> tuple[int, ...]:
     """Per-module access counts for an instruction's scalar operands.
 
     With ``eager_copies`` (default) destination values write all their
     copies in this cycle; otherwise only the primary copy is written and
     the remaining copies are filled by scheduled Transfer operations
-    (:mod:`repro.liw.transfers`).  Source fetches pick one copy each,
-    preferring a conflict-free matching that also avoids the destination
-    modules; failing that, a most-constrained-first greedy fill models
-    the hardware serialising.
+    (:mod:`repro.liw.transfers`).  ``busy`` lists further accesses of the
+    same cycle whose modules are already fixed (a transfer's two ends,
+    array touches at run time); they are counted in the result.  Source
+    fetches then pick one copy each so that the cycle's deepest pile-up
+    is as shallow as possible (:func:`fetch_sources`).
     """
     loads = [0] * k
     for v in dests:
@@ -68,6 +72,8 @@ def scalar_load_vector(
                 loads[m] += 1
         else:
             loads[alloc.primary(v)] += 1
+    for m in busy:
+        loads[m] += 1
 
     pure_sources = sorted(sources - dests)
     if not pure_sources:
@@ -76,26 +82,42 @@ def scalar_load_vector(
     if any(not s for s in sets):
         missing = [v for v, s in zip(pure_sources, sets) if not s]
         raise ValueError(f"unplaced scalar operands: {missing}")
+    for m in fetch_sources(sets, loads):
+        loads[m] += 1
+    return tuple(loads)
 
-    blocked = {m for m, c in enumerate(loads) if c > 0}
-    reduced = [s - blocked for s in sets]
+
+def fetch_sources(sets: list[frozenset[int]], loads: list[int]) -> list[int]:
+    """One module per copy-set, minimising the max of ``loads`` plus picks.
+
+    The fetch unit first looks for a matching that avoids every busy
+    module, then — while no module is busy twice — for any conflict-free
+    matching; either is already optimal when it exists.  Otherwise the
+    least feasible max load is found by slot expansion: slot ``(l, m)``
+    is the ``l``-th access to module ``m``, and a b-matching at level
+    ``L`` may use the slots with ``l <= L``.
+    """
+    busy = {m for m, c in enumerate(loads) if c > 0}
+    reduced = [s - busy for s in sets]
     if all(reduced):
         sdr = find_sdr(reduced)
         if sdr is not None:
-            for m in sdr:
-                loads[m] += 1
-            return tuple(loads)
-    sdr = find_sdr(sets)
-    if sdr is not None:
-        for m in sdr:
-            loads[m] += 1
-        return tuple(loads)
-    # Residual conflict: serve most-constrained operands first, each from
-    # its least-loaded module.
-    for s in sorted(sets, key=len):
-        m = min(s, key=lambda m: (loads[m], m))
-        loads[m] += 1
-    return tuple(loads)
+            return sdr
+    if max(loads) <= 1:
+        sdr = find_sdr(sets)
+        if sdr is not None:
+            return sdr
+    k = len(loads)
+    level = max(loads)
+    while True:
+        slots = [
+            [l * k + m for m in s for l in range(loads[m] + 1, level + 1)]
+            for s in sets
+        ]
+        sdr = find_sdr(slots)
+        if sdr is not None:
+            return [slot % k for slot in sdr]
+        level += 1
 
 
 @dataclass(slots=True)
@@ -153,7 +175,8 @@ class MemorySimulator:
         self._eager_copies = eager_copies
 
         self._vec_cache: dict[
-            tuple[frozenset[int], frozenset[int]], tuple[int, ...]
+            tuple[frozenset[int], frozenset[int], tuple[int, ...]],
+            tuple[int, ...],
         ] = {}
         self.instructions = 0
         self.transfer_instructions = 0
@@ -170,24 +193,10 @@ class MemorySimulator:
 
     def __call__(self, event: AccessEvent) -> None:
         self.instructions += 1
-        key = (event.scalar_sources, event.scalar_dests)
-        vec = self._vec_cache.get(key)
-        if vec is None:
-            vec = scalar_load_vector(
-                event.scalar_sources,
-                event.scalar_dests,
-                self._alloc,
-                self._k,
-                self._eager_copies,
-            )
-            self._vec_cache[key] = vec
-        if event.transfers:
-            # a transfer reads the source module and writes the destination
-            mutable = list(vec)
-            for _, src, dst in event.transfers:
-                mutable[src] += 1
-                mutable[dst] += 1
-            vec = tuple(mutable)
+        # a transfer reads the source module and writes the destination
+        busy = tuple(sorted(m for _, src, dst in event.transfers
+                            for m in (src, dst)))
+        vec = self._loads(event, busy)
         n_arr = len(event.array_touches)
         n_scalar = sum(vec)
         if n_arr == 0 and n_scalar == 0:
@@ -207,13 +216,36 @@ class MemorySimulator:
         for m in range(self._k):
             self._t_max_per_module[m] += delta * max(scalar_max, vec[m] + n_arr)
 
-        actual = list(vec)
-        for touch in event.array_touches:
-            actual[self._layout.module(touch.array, touch.index)] += 1
+        actual = vec
+        if n_arr:
+            # at run time the array modules are known, and the fetch unit
+            # steers the scalar fetches around them
+            arrays = [
+                self._layout.module(t.array, t.index)
+                for t in event.array_touches
+            ]
+            actual = self._loads(event, tuple(sorted([*busy, *arrays])))
         actual_max = max(actual)
         self.t_actual += delta * actual_max
         if actual_max > 1:
             self.actual_conflicts += 1
+
+    def _loads(
+        self, event: AccessEvent, busy: tuple[int, ...]
+    ) -> tuple[int, ...]:
+        key = (event.scalar_sources, event.scalar_dests, busy)
+        vec = self._vec_cache.get(key)
+        if vec is None:
+            vec = scalar_load_vector(
+                event.scalar_sources,
+                event.scalar_dests,
+                self._alloc,
+                self._k,
+                self._eager_copies,
+                busy,
+            )
+            self._vec_cache[key] = vec
+        return vec
 
     # -- results ------------------------------------------------------------
 

@@ -55,6 +55,20 @@ class TestScalarLoadVector:
         vec = scalar_load_vector(frozenset({2}), frozenset({1}), alloc, 4)
         assert max(vec) == 1  # source 2 dodges to module 1
 
+    def test_sources_dodge_busy_modules(self):
+        alloc = alloc_of({1: [0, 1], 2: [2]})
+        vec = scalar_load_vector(frozenset({1}), frozenset(), alloc, 4,
+                                 busy=(0, 2))
+        assert vec == (1, 1, 1, 0)
+
+    def test_sources_share_spare_capacity_under_a_deep_pile(self):
+        # module 0 is written twice; the fetch of 2 may share module 1
+        # with the write of 3 without deepening the cycle beyond 2
+        alloc = alloc_of({1: [0], 4: [0], 3: [1], 2: [0, 1]})
+        vec = scalar_load_vector(frozenset({2}), frozenset({1, 3, 4}),
+                                 alloc, 4)
+        assert vec == (2, 2, 0, 0)
+
     def test_unplaced_operand_raises(self):
         alloc = alloc_of({})
         with pytest.raises(ValueError):
@@ -99,6 +113,26 @@ class TestSimulatorAccounting:
         sim(event(sources={1}, touches=[("a", 0, False), ("a", 1, False)]))
         rep = sim.report()
         assert rep.t_max == 3.0  # both arrays on top of scalar 1
+
+    def test_fetches_steer_around_array_modules(self):
+        # scalar 2 has copies in modules 0 and 3; a[0] lands in module 0
+        alloc = alloc_of({1: [1], 2: [0, 3]})
+        sim = self.make(alloc)
+        sim(event(sources={1, 2}, touches=[("a", 0, False)]))
+        rep = sim.report()
+        assert rep.t_actual == 1.0
+        assert rep.actual_conflict_instructions == 0
+
+    def test_primary_only_writes_never_cost_more(self):
+        alloc = alloc_of({0: [2], 1: [0], 2: [1, 2], 4: [0, 1, 3]})
+        layout = InterleavedLayout(["a"], 4)
+        eager = MemorySimulator(alloc, layout, 4)
+        primary = MemorySimulator(alloc, layout, 4, eager_copies=False)
+        ev = event(sources={0, 4}, dests={1, 2},
+                   touches=[("a", 3, False), ("a", 1, False), ("a", 3, False)])
+        eager(ev)
+        primary(ev)
+        assert primary.report().t_actual <= eager.report().t_actual
 
     def test_ordering_invariant(self):
         sim = self.make()
