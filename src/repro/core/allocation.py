@@ -11,19 +11,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .bitset import iter_bits
+
+
+#: mask -> the frozenset of its module indices, shared by every
+#: allocation (there are few distinct masks: k is small)
+_MODULE_SETS: dict[int, frozenset[int]] = {}
+
+
+def _modules_of(mask: int) -> frozenset[int]:
+    mods = _MODULE_SETS.get(mask)
+    if mods is None:
+        mods = _MODULE_SETS[mask] = frozenset(iter_bits(mask))
+    return mods
+
 
 @dataclass(slots=True)
 class Allocation:
     """Mutable value -> module-set mapping for a k-module memory."""
 
     k: int
-    _placement: dict[int, set[int]] = field(default_factory=dict)
     #: (value, module) pairs in creation order — the audit trail used by
     #: tests that replay the paper's worked examples.
     history: list[tuple[int, int]] = field(default_factory=list)
-    #: module-occupancy bitmask per value, maintained alongside
-    #: ``_placement`` for the bitset kernels (bit m == copy in module m)
+    #: module-occupancy bitmask per placed value (bit m == copy in
+    #: module m), in first-placement order; the bitset kernels consume
+    #: it directly
     _mask: dict[int, int] = field(default_factory=dict)
+    #: running ``Σ popcount(_mask[v])``, kept by every mutation
+    _total: int = field(default=0, repr=False, compare=False)
 
     def _check_module(self, module: int) -> None:
         if not 0 <= module < self.k:
@@ -34,27 +50,27 @@ class Allocation:
     def place(self, value: int, module: int) -> None:
         """Place the first copy of ``value``; it must be unplaced."""
         self._check_module(module)
-        if value in self._placement:
+        if value in self._mask:
             raise ValueError(f"value {value} already placed; use add_copy")
-        self._placement[value] = {module}
         self._mask[value] = 1 << module
+        self._total += 1
         self.history.append((value, module))
 
     def add_copy(self, value: int, module: int) -> None:
         """Add a copy of ``value`` (first or additional) in ``module``."""
         self._check_module(module)
-        mods = self._placement.setdefault(value, set())
-        if module in mods:
+        mask = self._mask.get(value, 0)
+        if mask >> module & 1:
             raise ValueError(f"value {value} already has a copy in {module}")
-        mods.add(module)
-        self._mask[value] = self._mask.get(value, 0) | (1 << module)
+        self._mask[value] = mask | (1 << module)
+        self._total += 1
         self.history.append((value, module))
 
     # -- queries ------------------------------------------------------------
 
     def modules(self, value: int) -> frozenset[int]:
         """Modules holding a copy of ``value`` (empty if unplaced)."""
-        return frozenset(self._placement.get(value, ()))
+        return _modules_of(self._mask.get(value, 0))
 
     def modules_mask(self, value: int) -> int:
         """Modules holding a copy of ``value`` as a bitmask (0 if
@@ -71,50 +87,56 @@ class Allocation:
         raise KeyError(f"value {value} is unplaced")
 
     def is_placed(self, value: int) -> bool:
-        return value in self._placement
+        return value in self._mask
 
     def copy_count(self, value: int) -> int:
-        return len(self._placement.get(value, ()))
+        return self._mask.get(value, 0).bit_count()
 
     def values(self) -> list[int]:
-        return sorted(self._placement)
+        return sorted(self._mask)
 
     def single_copy_values(self) -> list[int]:
-        return sorted(v for v, m in self._placement.items() if len(m) == 1)
+        return sorted(v for v, m in self._mask.items() if m.bit_count() == 1)
 
     def multi_copy_values(self) -> list[int]:
-        return sorted(v for v, m in self._placement.items() if len(m) > 1)
+        return sorted(v for v, m in self._mask.items() if m.bit_count() > 1)
+
+    def module_loads(self) -> list[int]:
+        """How many copies each module holds."""
+        load = [0] * self.k
+        for mask in self._mask.values():
+            for m in iter_bits(mask):
+                load[m] += 1
+        return load
 
     @property
     def total_copies(self) -> int:
-        return sum(len(m) for m in self._placement.values())
+        return self._total
 
     @property
     def extra_copies(self) -> int:
         """Copies beyond the mandatory one per placed value."""
-        return self.total_copies - len(self._placement)
+        return self._total - len(self._mask)
 
     def copy(self) -> "Allocation":
-        dup = Allocation(self.k)
-        dup._placement = {v: set(m) for v, m in self._placement.items()}
-        dup._mask = dict(self._mask)
-        dup.history = list(self.history)
-        return dup
+        return Allocation(
+            self.k, list(self.history), dict(self._mask), self._total
+        )
 
     # -- presentation -------------------------------------------------------
 
     def grid(self, values: Iterable[int] | None = None) -> str:
         """Render the x-grid of the paper's figures."""
-        vals = sorted(self._placement) if values is None else list(values)
+        vals = sorted(self._mask) if values is None else list(values)
         header = "      " + " ".join(f"M{m + 1}" for m in range(self.k))
         lines = [header]
         for v in vals:
+            mask = self._mask.get(v, 0)
             row = "".join(
-                " x " if m in self._placement.get(v, ()) else " - "
-                for m in range(self.k)
+                " x " if mask >> m & 1 else " - " for m in range(self.k)
             )
             lines.append(f"V{v:<4d}{row}")
         return "\n".join(lines)
 
     def as_dict(self) -> dict[int, frozenset[int]]:
-        return {v: frozenset(m) for v, m in self._placement.items()}
+        return {v: _modules_of(m) for v, m in self._mask.items()}

@@ -189,14 +189,16 @@ def assign_modules(
             duplicable |= set(all_values)
 
     alloc = initial.copy() if initial is not None else Allocation(k)
-    preassigned = {
-        v: next(iter(alloc.modules(v)))
-        for v in alloc.values()
-        if alloc.copy_count(v) == 1 and v in graph.nodes
-    }
-    flexible = {
-        v for v in alloc.values() if alloc.copy_count(v) > 1 and v in graph.nodes
-    }
+    # Imported values of this graph, in ascending id order: one copy
+    # pins the value's module, several leave it to the duplication stage.
+    preassigned: dict[int, int] = {}
+    flexible: set[int] = set()
+    for v in sorted(graph.nodes):
+        mask = alloc.modules_mask(v)
+        if mask & (mask - 1):
+            flexible.add(v)
+        elif mask:
+            preassigned[v] = mask.bit_length() - 1
 
     color_nodes = graph.nodes - flexible
     # Non-duplicable values cannot be repaired by copies if removed, so
@@ -248,12 +250,10 @@ def assign_modules(
 
     # Make the allocation total.
     if all_values is not None:
-        load = [0] * k
-        for v in alloc.values():
-            for m in alloc.modules(v):
-                load[m] += 1
-        for v in sorted(set(all_values)):
-            if not alloc.is_placed(v):
+        unplaced = sorted(v for v in set(all_values) if not alloc.is_placed(v))
+        if unplaced:
+            load = alloc.module_loads()
+            for v in unplaced:
                 m = min(range(k), key=lambda i: (load[i], i))
                 alloc.add_copy(v, m)
                 load[m] += 1

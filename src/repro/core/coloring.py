@@ -23,7 +23,9 @@ colouring proper without a permutation step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING
 
 from .atoms import DEFAULT_MAX_NODES
@@ -109,6 +111,26 @@ def color_atom(
     ``wt(a -> b) = 0 if d(a) < k else conf(a, b)`` are evaluated
     lazily from instruction-membership masks instead of being
     materialised as a pair-keyed dict.
+
+    The next node is taken from a lazy min-heap instead of a scan of
+    every remaining node.  Urgency only rises while colouring:
+    ``incoming`` only grows (weights are non-negative) and the count
+    ``k_v`` of modules still free only shrinks.  So a node's key only
+    falls, its newest heap entry is its smallest, and the first entry
+    popped for a node is its current key; later entries of a taken node
+    are stale and skipped.  After each assignment every uncoloured
+    neighbour gets a fresh entry.  The key is integral,
+
+        ``(-in_prefer, k_v != 0, -(incoming * L // k_v), rank)``
+
+    with ``L = lcm(1..k)``; ``k_v`` divides ``L``, so the third field
+    orders urgencies ``incoming / k_v`` exactly.  It keeps every
+    tie-break of the linear scan: preferred nodes first; among nodes
+    with no module left, the smallest rank; otherwise the highest
+    urgency, ties to the smallest rank.  Ranks are bit positions, i.e.
+    sorted-id order, which is what lets the delta cache reuse fragments
+    across order-preserving relabellings
+    (:mod:`repro.core.workunits`).
     """
     result = ColoringResult(k)
     preassigned = preassigned or {}
@@ -135,6 +157,25 @@ def color_atom(
     rest_mask = (1 << n) - 1
     prefer_mask = index.mask_of(v for v in prefer if v in index)
 
+    # Lazy min-heap over urgency keys, filled once the pre-assigned and
+    # first nodes are placed; see the docstring for why the newest
+    # entry of a node is always its current (smallest) key.
+    scale = math.lcm(*range(1, k + 1))
+    preferred = [0] * n
+    for i in iter_bits(prefer_mask):
+        preferred[i] = -1
+    heap: list[tuple[int, bool, int, int]] = []
+    heap_live = False
+
+    def key(i: int) -> tuple[int, bool, int, int]:
+        k_v = k - (neighbor_colors[i] & all_modules).bit_count()
+        return (
+            preferred[i],
+            k_v != 0,
+            -(incoming[i] * scale // k_v) if k_v else 0,
+            i,
+        )
+
     def assign(i: int, module: int, action: str, urgency_num: int) -> None:
         result.assignment[ids[i]] = module
         module_use[module] += 1
@@ -143,14 +184,15 @@ def color_atom(
                          k - neighbor_colors[i].bit_count(), action, module)
         )
         module_bit = 1 << module
-        pending = adj[i] & rest_mask
-        if emits_weight[i]:
-            for j in iter_bits(pending):
+        weighted = emits_weight[i]
+        for j in iter_bits(adj[i] & rest_mask):
+            if weighted:
                 incoming[j] += kern.conf(i, j)
-                neighbor_colors[j] |= module_bit
-        else:
-            for j in iter_bits(pending):
-                neighbor_colors[j] |= module_bit
+            elif neighbor_colors[j] & module_bit:
+                continue  # neither incoming nor k_v moved
+            neighbor_colors[j] |= module_bit
+            if heap_live:
+                heappush(heap, key(j))
 
     for node, module in preassigned.items():
         i = index.bit.get(node)
@@ -179,22 +221,13 @@ def color_atom(
             first_module = 0
         assign(first, first_module, "first", first_val)
 
+    heap.extend(key(i) for i in iter_bits(rest_mask))
+    heapify(heap)
+    heap_live = True
     while rest_mask:
-        # Pick max urgency  U = incoming / K  (K = 0 -> infinite),
-        # preferred (non-duplicable) nodes strictly first.
-        pool_mask = prefer_mask & rest_mask or rest_mask
-        best = -1
-        best_num, best_den = -1, 1  # urgency as a fraction num/den
-        for i in iter_bits(pool_mask):
-            k_v = k - (neighbor_colors[i] & all_modules).bit_count()
-            if k_v == 0:
-                best = i
-                break  # smallest-id infinite-urgency node wins
-            num = incoming[i]
-            # num/k_v > best_num/best_den  <=>  num*best_den > best_num*k_v
-            if best < 0 or num * best_den > best_num * k_v:
-                best, best_num, best_den = i, num, k_v
-        assert best >= 0
+        best = heappop(heap)[-1]
+        if not (rest_mask >> best) & 1:
+            continue  # stale entry of a node already taken
         rest_mask &= ~(1 << best)
 
         free = ~neighbor_colors[best] & all_modules

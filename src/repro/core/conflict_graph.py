@@ -159,9 +159,10 @@ class ConflictGraph:
 
     @property
     def num_edges(self) -> int:
-        if self._edges_cache is None:
-            self._edges_cache = self.kernel().edge_pairs()
-        return len(self._edges_cache)
+        if self._edges_cache is not None:
+            return len(self._edges_cache)
+        # each edge sets one bit in both endpoints' adjacency rows
+        return sum(row.bit_count() for row in self.kernel().adj) // 2
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         kern = self.kernel()
@@ -182,15 +183,22 @@ class ConflictGraph:
         # weights in first-occurrence order, so conf counts — and every
         # downstream tie-break — are unchanged, while the scan shrinks
         # to one AND + popcount per distinct row (this runs once per
-        # atom during decomposition).
+        # atom during decomposition).  Only rows holding a kept vertex
+        # can project onto an edge; visiting them in row order keeps
+        # the first-occurrence order.
         kern = self.kernel()
         index = kern.index
-        keep_mask = index.mask_of(keep)
-        for m, w in zip(kern.instr_masks, kern.instr_weights):
-            projected = m & keep_mask
+        keep_mask = rows = 0
+        for v in keep:
+            i = index.bit[v]
+            keep_mask |= 1 << i
+            rows |= kern.imem[i]
+        masks, weights = kern.instr_masks, kern.instr_weights
+        for r in iter_bits(rows):
+            projected = masks[r] & keep_mask
             if projected.bit_count() > 1:
                 sub._edge_ops.append(frozenset(index.ids_of(projected)))
-                sub._edge_weights.append(w)
+                sub._edge_weights.append(weights[r])
         if with_instructions:
             for ops in self.instructions:
                 proj = ops & keep

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..ir.regions import compute_regions
+from ..ir.regions import Regions, compute_regions
 from ..ir.rename import RenamedProgram
 from ..liw.schedule import Schedule
 from ..passes.events import Metrics
@@ -76,6 +76,18 @@ def _program_facts(
         if (v.def_sites or v.use_sites) and not v.multi_def
     }
     return operand_sets, block_of, duplicable, all_values
+
+
+def _sets_by_region(
+    operand_sets: list[frozenset[int]],
+    block_of: list[int],
+    regions: Regions,
+) -> dict[int, list[frozenset[int]]]:
+    """The operand sets of each region, in program order."""
+    by_region: dict[int, list[frozenset[int]]] = {}
+    for ops, block in zip(operand_sets, block_of):
+        by_region.setdefault(regions.block_region[block], []).append(ops)
+    return by_region
 
 
 def _timed_assign(
@@ -148,12 +160,13 @@ def stor1(
         seed=seed,
         **kwargs,
     )
-    return StorageResult(
-        "STOR1",
-        result.allocation,
-        [result],
-        conflicting_instructions(operand_sets, result.allocation),
-    )
+    # assign_modules already checked these instructions, less the empty
+    # ones (never in conflict) -- unless weights dropped some of them.
+    if kwargs.get("weights") is None:
+        residual = list(result.stats.residual_instructions)
+    else:
+        residual = conflicting_instructions(operand_sets, result.allocation)
+    return StorageResult("STOR1", result.allocation, [result], residual)
 
 
 def stor2(
@@ -198,13 +211,9 @@ def stor2(
     alloc = stage1.allocation
 
     # Stage 2: per region, locals with globals pre-placed.
-    region_of_liw = [regions.block_region[b] for b in block_of]
-    for region in sorted(set(region_of_liw)):
-        region_sets = [
-            ops
-            for ops, r in zip(operand_sets, region_of_liw)
-            if r == region
-        ]
+    by_region = _sets_by_region(operand_sets, block_of, regions)
+    for region in sorted(by_region):
+        region_sets = by_region[region]
         local_ids = {
             v
             for ops in region_sets
@@ -313,19 +322,17 @@ def stor_region(
     operand_sets, block_of, duplicable, all_values = _program_facts(
         schedule, renamed
     )
-    regions = compute_regions(renamed.cfg)
-    region_of_liw = [regions.block_region[b] for b in block_of]
+    by_region = _sets_by_region(
+        operand_sets, block_of, compute_regions(renamed.cfg)
+    )
 
     stages: list[AssignmentResult] = []
     alloc: Allocation | None = None
-    for region in sorted(set(region_of_liw)):
-        region_sets = [
-            ops for ops, r in zip(operand_sets, region_of_liw) if r == region
-        ]
+    for region in sorted(by_region):
         stage = _timed_assign(
             metrics,
             f"STOR-REGION.region{region}",
-            region_sets,
+            by_region[region],
             k,
             method=method,
             duplicable=duplicable,

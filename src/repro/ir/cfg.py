@@ -53,12 +53,6 @@ class Cfg:
     def entry(self) -> BasicBlock:
         return self.blocks[0]
 
-    def block_of_label(self, label: str) -> BasicBlock:
-        for block in self.blocks:
-            if block.label == label:
-                return block
-        raise KeyError(label)
-
     def instructions(self) -> list[tuple[int, int, tac.TacInstr]]:
         """All instructions as (block_index, position, instr) triples."""
         out = []

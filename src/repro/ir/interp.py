@@ -185,9 +185,9 @@ class TacInterpreter:
                 pos = 0
                 continue
             elif isinstance(instr, tac.CJump):
+                # succs is [then, else], or [then] when both agree
                 taken = bool(self._value(instr.cond))
-                target = instr.then_target if taken else instr.else_target
-                block = self._cfg.block_of_label(target)
+                block = self._cfg.blocks[block.succs[0 if taken else -1]]
                 pos = 0
                 continue
             elif isinstance(instr, tac.Halt):

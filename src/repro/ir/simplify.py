@@ -30,13 +30,14 @@ def thread_jumps(cfg: Cfg) -> Cfg:
     """Redirect branches through jump-only blocks to their final target."""
     # Resolve each block to its ultimate non-trivial target.
     final_target: dict[str, str] = {}
+    by_label = {b.label: b for b in cfg.blocks}
 
     def resolve(label: str, seen: frozenset[str]) -> str:
         if label in final_target:
             return final_target[label]
         if label in seen:  # jump cycle (infinite loop): leave as is
             return label
-        block = cfg.block_of_label(label)
+        block = by_label[label]
         if _is_trivial_jump(block):
             target = resolve(
                 block.instrs[0].target, seen | {label}  # type: ignore[attr-defined]

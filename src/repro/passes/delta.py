@@ -11,9 +11,9 @@ relabel-invariant *rank space* (node ids normalised to 0..n-1).  A
 near-duplicate program — same atoms, shifted value ids — then re-runs
 only the units whose structure actually changed.
 
-Keys are full content addresses (the unit payload is folded into a
-SHA-256 via :func:`repro.passes.fingerprint.digest`), so a hit is exact
-in the same sense as the stage cache.  Fragments are plain-data dicts
+Keys are full content addresses (the unit payload is folded into the
+SHA-256 :func:`repro.passes.fingerprint.digest` computes), so a hit is
+exact in the same sense as the stage cache.  Fragments are plain-data dicts
 (rank lists and ints); entries are weighted by their payload size and
 admitted against a weight budget — see :class:`ArtifactCache` for the
 size-aware eviction rules.
@@ -26,11 +26,12 @@ effectiveness.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from typing import Mapping
 
 from .cache import ArtifactCache
-from .fingerprint import digest
+from .fingerprint import canonical_bytes
 
 
 def fragment_weight(fragment: Mapping[str, object]) -> int:
@@ -104,9 +105,13 @@ class DeltaScope:
         self.misses = 0
 
     def key(self, kind: str, payload: object) -> str:
-        return digest(
-            {"pass": self.pass_name, "kind": kind, "unit": payload}
-        )
+        """``digest({"pass", "kind", "unit"})`` of the unit payload.
+
+        Unit payloads are JSON-native (str-keyed dicts, lists, ints,
+        bools, str), which ``encode_value`` would return unchanged, so
+        its walk over the often long rank lists is skipped."""
+        unit = {"pass": self.pass_name, "kind": kind, "unit": payload}
+        return hashlib.sha256(canonical_bytes(unit)).hexdigest()
 
     def get(self, key: str) -> dict[str, object] | None:
         fragment = self.cache.get(key)

@@ -10,6 +10,7 @@ programs.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -115,21 +116,109 @@ def _normalized_trace(trace):
     return pre, rest
 
 
+def _assert_coloring_matches(sets, k, weights=None, ctx=None, **options):
+    live = color_graph(
+        ConflictGraph.from_operand_sets(sets, weights), k, **options
+    )
+    ref = reference_color_graph(
+        ReferenceConflictGraph.from_operand_sets(sets, weights), k, **options
+    )
+    assert live.assignment == ref.assignment, ctx
+    assert live.unassigned == ref.unassigned, ctx
+    assert _normalized_trace(live.trace) == _normalized_trace(ref.trace), ctx
+    assert live.num_atoms == ref.num_atoms, ctx
+
+
 @pytest.mark.parametrize("seed", range(60))
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_coloring_matches_reference(seed, k):
-    sets = random_operand_sets(seed)
-    live = color_graph(ConflictGraph.from_operand_sets(sets), k)
-    ref = reference_color_graph(
-        ReferenceConflictGraph.from_operand_sets(sets), k
+    _assert_coloring_matches(random_operand_sets(seed), k, ctx=(seed, k))
+
+
+@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("k", [5, 6, 8])
+@pytest.mark.parametrize("use_atoms", [True, False])
+def test_coloring_matches_reference_wide_k(seed, k, use_atoms):
+    """k >= 5: urgencies incoming/k_v with k_v up to k, where the
+    heap's lcm(1..k) scaling must order every fraction exactly."""
+    sets = random_operand_sets(
+        seed + 500, max_values=40, max_instructions=60, max_width=k + 1
     )
-    assert live.assignment == ref.assignment, (seed, k)
-    assert live.unassigned == ref.unassigned, (seed, k)
-    assert _normalized_trace(live.trace) == _normalized_trace(ref.trace), (
-        seed,
-        k,
+    _assert_coloring_matches(
+        sets, k, ctx=(seed, k), use_atoms=use_atoms
     )
-    assert live.num_atoms == ref.num_atoms, (seed, k)
+
+
+def _hub_graph(seed, k):
+    """Hubs pre-assigned to distinct modules; each candidate is joined
+    to 1..k-1 hubs by weighted edges.  After the pre-assigned steps the
+    candidates' urgencies w / k_v are many close fractions over
+    different k_v, which only an exact ordering ranks right."""
+    rng = random.Random(seed)
+    hubs = range(k)
+    sets, weights = [], []
+    for cand in range(k, 4 * k):
+        for hub in rng.sample(hubs, rng.randint(1, k - 1)):
+            sets.append(frozenset({hub, cand}))
+            weights.append(rng.randint(1, 12))
+    preassigned = dict(zip(hubs, rng.sample(range(k), k)))
+    return sets, weights, preassigned
+
+
+@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("k", [5, 6, 8])
+@pytest.mark.parametrize("use_atoms", [True, False])
+def test_coloring_fractions_match_reference(seed, k, use_atoms):
+    sets, weights, preassigned = _hub_graph(seed, k)
+    _assert_coloring_matches(
+        sets, k, weights, ctx=(seed, k),
+        preassigned=preassigned, use_atoms=use_atoms,
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+@pytest.mark.parametrize("module_choice", ["first", "least_used"])
+def test_coloring_options_match_reference(seed, k, module_choice):
+    """Preferred nodes, pre-assigned nodes (possibly clashing), weighted
+    operand sets and both module choices, with and without atoms."""
+    rng = random.Random(seed * 131 + k)
+    sets = random_operand_sets(
+        seed + 900, max_values=30, max_instructions=40,
+        max_width=min(k + 2, 8),
+    )
+    weights = [rng.randint(0, 3) for _ in sets]
+    values = sorted(set().union(*sets))
+    prefer = set(rng.sample(values, rng.randint(0, len(values) // 3)))
+    preassigned = {
+        v: rng.randrange(k)
+        for v in rng.sample(values, rng.randint(0, len(values) // 4))
+    }
+    _assert_coloring_matches(
+        sets, k, weights, ctx=(seed, k, module_choice),
+        preassigned=preassigned, module_choice=module_choice,
+        use_atoms=rng.random() < 0.5, prefer=prefer,
+    )
+
+
+def _equal_weight_graphs():
+    """Symmetric graphs with unit weights: every node looks alike, so
+    urgencies tie at the start and often afterwards, and only the
+    smallest-id tie-break decides."""
+    for n in (3, 5, 9, 12):
+        yield f"K{n}", [frozenset(p) for p in combinations(range(n), 2)]
+        yield f"C{n}", [frozenset({i, (i + 1) % n}) for i in range(n)]
+    # K_{5,5}: every node has the same degree and the same weights
+    yield "K5,5", [frozenset({a, b}) for a in range(5) for b in range(5, 10)]
+    # one instruction holding every value: the clique K10, weight 1 each
+    yield "I10", [frozenset(range(10))]
+
+
+@pytest.mark.parametrize("name,sets", list(_equal_weight_graphs()))
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 8])
+@pytest.mark.parametrize("use_atoms", [True, False])
+def test_coloring_ties_match_reference(name, sets, k, use_atoms):
+    _assert_coloring_matches(sets, k, ctx=(name, k), use_atoms=use_atoms)
 
 
 @pytest.mark.parametrize("seed", range(40))

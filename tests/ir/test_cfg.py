@@ -1,6 +1,9 @@
 """Unit tests for CFG construction."""
 
+import pytest
+
 from repro.ir import build_cfg, compile_to_tac, tac
+from repro.ir.simplify import simplify_cfg
 
 
 def cfg_of(body: str, decls: str = "var x, y, i: int;"):
@@ -66,10 +69,32 @@ def test_labels_stripped_from_blocks():
         assert not any(isinstance(i, tac.Label) for i in block.instrs)
 
 
-def test_block_of_label_round_trip():
-    cfg = cfg_of("while x > 0 do x := x - 1")
-    for block in cfg.blocks:
-        assert cfg.block_of_label(block.label) is block
+@pytest.mark.parametrize("body", [
+    "while x > 0 do x := x - 1",
+    "if x > 0 then y := 1 else y := 2; x := 3",
+    "if x > 0 then y := y; x := 2",
+], ids=["while", "if-else", "same-target"])
+def test_labels_and_succs_locate_blocks(body):
+    """Labels are unique, and a terminator's succs list its targets in
+    order ([then, else] for a CJump, one entry when they agree), before
+    and after simplification: jump threading indexes blocks by label
+    and the interpreter follows succs."""
+    for cfg in (cfg_of(body), simplify_cfg(cfg_of(body))):
+        by_label = {b.label: b for b in cfg.blocks}
+        assert len(by_label) == len(cfg.blocks)
+        for block in cfg.blocks:
+            last = block.terminator
+            if isinstance(last, tac.Jump):
+                targets = [last.target]
+            elif isinstance(last, tac.CJump):
+                targets = list(dict.fromkeys(
+                    [last.then_target, last.else_target]
+                ))
+            else:
+                targets = []
+            assert [cfg.blocks[s] for s in block.succs] == [
+                by_label[t] for t in targets
+            ]
 
 
 def test_fall_through_normalised_to_jump():

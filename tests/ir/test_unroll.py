@@ -1,10 +1,13 @@
 """Unit and differential tests for AST loop unrolling."""
 
+import copy
+from dataclasses import fields
+
 import pytest
 
 from repro.ir import build_cfg, lower_ast, run_cfg
-from repro.ir.unroll import unroll_program
-from repro.lang import analyze, parse
+from repro.ir.unroll import _clone, unroll_program
+from repro.lang import analyze, ast_nodes as ast, parse
 
 
 def run_with_unroll(source: str, factor: int, inputs=None, innermost=False):
@@ -200,3 +203,83 @@ def test_synthetic_bound_vars_declared():
     names = [n for d in tree.decls for n in d.names]
     assert any(n.startswith("__u") for n in names)
     analyze(tree)  # must still type-check
+
+
+CLONE_SRC = """
+program c; var i, n, s: int; x: real; a: array[8] of int;
+begin
+  read(n);
+  s := 0;
+  for i := 0 to n - 1 do begin
+    a[i] := -i * (i + 1);
+    if a[i] < 3 and not (i = 2) then s := s + a[i] div 2
+    else x := sqrt(i + 0.5);
+    write(s)
+  end
+end.
+"""
+
+
+def _mutable_parts(obj):
+    """Every ``ast.Node`` and ``list`` reachable from ``obj``."""
+    if isinstance(obj, ast.Node):
+        yield obj
+        for f in fields(obj):
+            yield from _mutable_parts(getattr(obj, f.name))
+    elif isinstance(obj, list):
+        yield obj
+        for item in obj:
+            yield from _mutable_parts(item)
+
+
+def _unrolled_bodies(factor):
+    """The original loop body and its ``factor + 1`` unrolled copies
+    (``factor`` in the main loop, one in the remainder loop)."""
+    tree = parse(CLONE_SRC)
+    loop = tree.body.body[2]
+    assert isinstance(loop, ast.For)
+    body = loop.body
+    want = copy.deepcopy(body)
+    unroll_program(tree, factor)
+    _, _, main, remainder = tree.body.body[2].body
+    copies = [*main.body.body[0::2], remainder.body.body[0]]
+    assert len(copies) == factor + 1
+    return body, want, copies
+
+
+@pytest.mark.parametrize("factor", [2, 4])
+def test_unroll_copies_equal_deepcopy_of_body(factor):
+    body, want, copies = _unrolled_bodies(factor)
+    assert body == want  # the original is not disturbed
+    for c in copies:
+        assert c == want
+
+
+@pytest.mark.parametrize("factor", [2, 4])
+def test_unroll_copies_share_no_mutable_parts(factor):
+    body, _, copies = _unrolled_bodies(factor)
+    seen: dict[int, int] = {}
+    for owner, tree in enumerate([body, *copies]):
+        for part in _mutable_parts(tree):
+            assert seen.setdefault(id(part), owner) == owner, (
+                type(part).__name__
+            )
+
+
+def test_unroll_copies_have_independent_types():
+    _, _, copies = _unrolled_bodies(4)
+    exprs = [
+        [p for p in _mutable_parts(c) if isinstance(p, ast.Expr)]
+        for c in copies
+    ]
+    exprs[0][0].type = ast.REAL
+    assert all(e[0].type is None for e in exprs[1:])
+
+
+def test_clone_copies_sema_types():
+    tree = parse(CLONE_SRC)
+    analyze(tree)
+    clone = _clone(tree.body)
+    assert clone == copy.deepcopy(tree.body)
+    typed = [p for p in _mutable_parts(clone) if isinstance(p, ast.Expr)]
+    assert typed and all(e.type is not None for e in typed)

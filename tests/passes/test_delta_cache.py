@@ -133,6 +133,30 @@ def test_delta_scope_counts_and_keys():
     assert scope.key("whole-color", {"n": 3}) != key
 
 
+def test_delta_keys_are_fingerprint_digests():
+    """Scope keys skip ``encode_value``; on the payloads the work-unit
+    engine builds they must still equal ``fingerprint.digest``."""
+    from repro.core import ConflictGraph
+    from repro.core.workunits import atom_task, task_fingerprint
+    from repro.passes.fingerprint import digest
+
+    graph = ConflictGraph.from_operand_sets(
+        [frozenset({3, 5, 9}), frozenset({5, 12}), frozenset({9, 12})],
+        [2, 1, 1],
+    )
+    task = atom_task(0, graph, 2, "first", {12})
+    payloads = [
+        {"n": 3},
+        task_fingerprint(task, {5: 1}),
+        {"unit": task_fingerprint(task, {}), "pre_empty": True},
+    ]
+    scope = DeltaScope(DeltaCache(), "allocate")
+    for payload in payloads:
+        assert scope.key("atom-color", payload) == digest(
+            {"pass": "allocate", "kind": "atom-color", "unit": payload}
+        )
+
+
 def test_delta_cache_is_thread_safe_under_churn():
     import threading
 
