@@ -30,7 +30,7 @@ from .bitset import sdr_exists_masks
 from .coloring import ColoringResult, color_graph
 from .conflict_graph import ConflictGraph
 from .duplication import hitting_set_duplication
-from .verify import conflicting_instructions
+from .verify import ConflictLedger
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from ..passes.delta import DeltaScope
@@ -236,15 +236,19 @@ def assign_modules(
 
     copies_before = alloc.total_copies
     if method == "hitting_set":
+        ledger = ConflictLedger(sets, alloc)
         hitting_set_duplication(
-            sets, alloc, dup_targets, duplicable, rng, tie_break
+            sets, alloc, dup_targets, duplicable, rng, tie_break, ledger=ledger
         )
     elif method == "backtrack":
         backtrack_duplication(sets, alloc, dup_targets, rng, tie_break)
         # Cross-phase conflicts among fixed operands (none in single-phase
         # use) are repaired with the generic combination machinery.
-        if conflicting_instructions(sets, alloc):
-            hitting_set_duplication(sets, alloc, [], duplicable, rng, tie_break)
+        ledger = ConflictLedger(sets, alloc)
+        if ledger.conflicting:
+            hitting_set_duplication(
+                sets, alloc, [], duplicable, rng, tie_break, ledger=ledger
+            )
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -255,7 +259,7 @@ def assign_modules(
             load = alloc.module_loads()
             for v in unplaced:
                 m = min(range(k), key=lambda i: (load[i], i))
-                alloc.add_copy(v, m)
+                ledger.add_copy(v, m)
                 load[m] += 1
 
     stats = AssignmentStats(
@@ -266,7 +270,7 @@ def assign_modules(
         removed=len(removed),
         pinned=pinned,
         copies_created=alloc.total_copies - copies_before,
-        residual_instructions=conflicting_instructions(sets, alloc),
+        residual_instructions=ledger.residual(),
         num_edges=graph.num_edges,
         runner=str(unit_stats.get("runner", "serial")),
         atom_units=int(unit_stats.get("units", 0)),

@@ -32,8 +32,8 @@ from typing import Sequence
 from .allocation import Allocation
 from .bitset import COUNTERS, sdr_exists_masks
 from .hitting_set import paper_hitting_set
-from .placement import place_copies
-from .verify import combination_conflict_free
+from .placement import ledger_groups, place_on_ledger
+from .verify import ConflictLedger, combination_conflict_free
 
 
 @dataclass(slots=True)
@@ -45,40 +45,30 @@ class DuplicationStats:
 
 
 def _conflicting_combos(
-    operand_sets: Sequence[frozenset[int]],
-    size: int,
-    alloc: Allocation,
+    ledger: ConflictLedger, size: int
 ) -> list[frozenset[int]]:
     """Distinct size-``size`` operand combinations that co-occur in some
     instruction and are not conflict free (the paper's S_i^num).
 
     A conflict-free instruction cannot contain a conflicting
     sub-combination (removing operands only relaxes the matching), so
-    only still-conflicting instructions are expanded — and identical
-    instructions are expanded once (they contribute identical combos to
-    the result set, so deduplication cannot change it).  Conflict checks
-    run on the allocation's module-occupancy bitmasks.
+    only the ledger's still-conflicting rows are expanded — and
+    identical instructions are one row (they contribute identical
+    combos to the result set, so deduplication cannot change it).
+    Conflict checks run on the allocation's module-occupancy bitmasks.
     """
-    seen: set[frozenset[int]] = set()
+    rows = ledger.rows
     combos: set[frozenset[int]] = set()
-    for ops in operand_sets:
+    for i in ledger.conflicting:
+        ops = rows[i]
         if len(ops) < size:
-            continue
-        if ops in seen:
-            COUNTERS.instructions_deduped += 1
-            continue
-        seen.add(ops)
-        if sdr_exists_masks([alloc.modules_mask(v) for v in ops]):
             continue
         for c in combinations(sorted(ops), size):
             combos.add(frozenset(c))
             COUNTERS.combos_enumerated += 1
+    mask = ledger.alloc.modules_mask
     return sorted(
-        (
-            c
-            for c in combos
-            if not sdr_exists_masks([alloc.modules_mask(v) for v in c])
-        ),
+        (c for c in combos if not sdr_exists_masks([mask(v) for v in c])),
         key=sorted,
     )
 
@@ -91,22 +81,29 @@ def hitting_set_duplication(
     rng: random.Random | None = None,
     tie_break: str = "random",
     max_rounds: int = 64,
+    ledger: ConflictLedger | None = None,
 ) -> DuplicationStats:
     """Apply Fig. 7, mutating ``alloc``.
 
     ``unassigned`` are the values removed during colouring (to receive
     two copies up front); ``duplicable`` is the full set of values that
-    may legally be replicated (single-definition values).
+    may legally be replicated (single-definition values).  ``ledger``,
+    if given, must track ``operand_sets`` on ``alloc``; every copy made
+    here goes through it.
     """
     rng = rng or random.Random(0)
     stats = DuplicationStats()
     k = alloc.k
     unassigned = sorted(set(unassigned))
-    relevant = [ops for ops in operand_sets if len(ops) >= 2]
+    if ledger is None:
+        ledger = ConflictLedger(operand_sets, alloc)
+    # Fig. 10's groups over the instructions with two or more operands
+    # (a lone operand never conflicts with another).
+    groups = ledger_groups(ledger, set(duplicable), min_width=2)
 
     def place(values: Sequence[int]) -> None:
         before = alloc.total_copies
-        place_copies(values, alloc, relevant, set(duplicable), rng, tie_break)
+        place_on_ledger(values, ledger, groups, rng, tie_break)
         stats.copies_created += alloc.total_copies - before
 
     # Fig. 7 steps 1-2: first and second copies of every removed value.
@@ -122,7 +119,7 @@ def hitting_set_duplication(
     # Values never co-occurring with others still need storage.
     for v in unassigned:
         if not alloc.is_placed(v):
-            alloc.add_copy(v, 0)
+            ledger.add_copy(v, 0)
             stats.copies_created += 1
             stats.unreferenced_placed.append(v)
 
@@ -133,7 +130,7 @@ def hitting_set_duplication(
         while rounds < max_rounds:
             conflicting = [
                 c
-                for c in _conflicting_combos(relevant, size, alloc)
+                for c in _conflicting_combos(ledger, size)
                 if c not in hopeless
             ]
             candidate_sets: list[frozenset[int]] = []

@@ -16,10 +16,12 @@ instructions becomes conflict free:
   random choice (the paper: "a random choice is made") or the lowest
   module index, per ``tie_break``.
 
-Identical instructions are collapsed to one row with a multiplicity
-weight before scoring — a duplicated instruction is conflicting, fixed,
-and counted exactly like its twin, so weighted sums over distinct rows
-equal plain sums over all rows — and the SDR checks run directly on the
+Placement runs on a :class:`~repro.core.verify.ConflictLedger`:
+identical instructions are one row with a multiplicity weight — a
+duplicated instruction is conflicting, fixed, and counted exactly like
+its twin, so weighted sums over distinct rows equal plain sums over all
+rows — and which rows still conflict is read off the ledger instead of
+re-checked per value.  The scoring SDR checks run directly on the
 allocation's module-occupancy bitmasks.
 """
 
@@ -29,9 +31,8 @@ import random
 from typing import Iterable, Sequence
 
 from .allocation import Allocation
-from .bitset import COUNTERS, iter_bits, sdr_exists_masks
-
-_Weighted = list[tuple[frozenset[int], int]]
+from .bitset import iter_bits, sdr_exists_masks
+from .verify import ConflictLedger
 
 
 def group_instructions(
@@ -48,51 +49,85 @@ def group_instructions(
     return groups
 
 
-def _group_weighted(
-    operand_sets: Sequence[frozenset[int]],
-    duplicable: set[int],
-    k: int,
-) -> dict[int, _Weighted]:
-    """Like :func:`group_instructions`, with identical rows collapsed to
-    one ``(operands, multiplicity)`` entry (first-occurrence order)."""
-    weight: dict[frozenset[int], int] = {}
-    for ops in operand_sets:
-        y = len(ops & duplicable)
-        if not 1 <= y <= k:
-            continue
-        if ops in weight:
-            weight[ops] += 1
-            COUNTERS.instructions_deduped += 1
-        else:
-            weight[ops] = 1
-    groups: dict[int, _Weighted] = {y: [] for y in range(1, k + 1)}
-    for ops, w in weight.items():
-        groups[len(ops & duplicable)].append((ops, w))
+def ledger_groups(
+    ledger: ConflictLedger, duplicable: set[int], min_width: int = 1
+) -> dict[int, int]:
+    """:func:`group_instructions` on the ledger's rows: row id -> y for
+    every row of at least ``min_width`` operands in some group I_y."""
+    k = ledger.alloc.k
+    groups: dict[int, int] = {}
+    for i, ops in enumerate(ledger.rows):
+        if len(ops) >= min_width:
+            y = len(ops & duplicable)
+            if 1 <= y <= k:
+                groups[i] = y
     return groups
 
 
-def _fix_score(
-    value: int,
-    module: int,
-    conflicting: Iterable[tuple[frozenset[int], int]],
-    alloc: Allocation,
-) -> int:
-    """How many of the given (weighted) conflicting instructions become
-    conflict free if a copy of ``value`` is placed in ``module``."""
-    base = alloc.modules_mask(value)
-    if (base >> module) & 1:
-        return 0
-    augmented = base | (1 << module)
-    fixed = 0
-    for ops, w in conflicting:
-        if value not in ops:
-            continue
-        masks = [
-            augmented if v == value else alloc.modules_mask(v) for v in ops
+def place_on_ledger(
+    values: Iterable[int],
+    ledger: ConflictLedger,
+    groups: dict[int, int],
+    rng: random.Random,
+    tie_break: str = "random",
+) -> None:
+    """Place one copy of each value per Fig. 10 through ``ledger``.
+
+    ``groups`` (from :func:`ledger_groups`) selects the rows that are
+    scored and their group; conflicts are read off the ledger, which
+    every placed copy updates.
+    """
+    alloc = ledger.alloc
+    k = alloc.k
+    all_modules = (1 << k) - 1
+    rows, weights, conflicting = ledger.rows, ledger.weights, ledger.conflicting
+    mask = alloc.modules_mask
+
+    # Order the values once, up front (Fig. 10: "The order is determined
+    # by counting the number of instructions in the first group that
+    # involve each of the variables", falling back to later groups).
+    involvement = {v: [0] * k for v in values}
+    for i in conflicting:
+        y = groups.get(i)
+        if y is not None:
+            for v in rows[i]:
+                counts = involvement.get(v)
+                if counts is not None:
+                    counts[y - 1] += weights[i]
+    ordered = sorted(
+        involvement, key=lambda v: (tuple(involvement[v]), -v), reverse=True
+    )
+
+    for v in ordered:
+        base = mask(v)
+        avail = ~base & all_modules
+        if not avail:
+            continue  # v already everywhere
+        candidates = list(iter_bits(avail))
+        # Only still-conflicting instructions containing v can be fixed
+        # by a copy of v: (other operands' masks, weight, group index).
+        relevant = [
+            ([mask(u) for u in rows[i] if u != v], weights[i], groups[i] - 1)
+            for i in ledger.rows_of.get(v, ())
+            if i in conflicting and i in groups
         ]
-        if sdr_exists_masks(masks):
-            fixed += w
-    return fixed
+        score: dict[int, tuple[int, ...]] = {}
+        for m in candidates:
+            augmented = base | (1 << m)
+            fixed = [0] * k
+            for others, w, y in relevant:
+                if sdr_exists_masks([*others, augmented]):
+                    fixed[y] += w
+            score[m] = tuple(fixed)
+        best_vec = max(score.values())
+        best_modules = [m for m in candidates if score[m] == best_vec]
+        if len(best_modules) == 1 or tie_break == "first":
+            chosen = best_modules[0]
+        elif tie_break == "random":
+            chosen = rng.choice(best_modules)
+        else:
+            raise ValueError(f"unknown tie_break {tie_break!r}")
+        ledger.add_copy(v, chosen)
 
 
 def place_copies(
@@ -108,57 +143,11 @@ def place_copies(
     ``operand_sets`` is the full instruction list; conflicts are
     re-evaluated against the evolving allocation as copies land.
     """
-    k = alloc.k
-    all_modules = (1 << k) - 1
-    rng = rng or random.Random(0)
-    groups = _group_weighted(operand_sets, duplicable, k)
-
-    def is_conflicting(ops: frozenset[int]) -> bool:
-        return not sdr_exists_masks([alloc.modules_mask(v) for v in ops])
-
-    # Order the values once, up front (Fig. 10: "The order is determined
-    # by counting the number of instructions in the first group that
-    # involve each of the variables", falling back to later groups).
-    initial_conflicting: dict[int, _Weighted] = {
-        y: [(ops, w) for ops, w in groups[y] if is_conflicting(ops)]
-        for y in range(1, k + 1)
-    }
-
-    def involvement(v: int) -> tuple[int, ...]:
-        return tuple(
-            sum(w for ops, w in initial_conflicting[y] if v in ops)
-            for y in range(1, k + 1)
-        )
-
-    ordered = sorted(set(values), key=lambda v: (involvement(v), -v), reverse=True)
-
-    for v in ordered:
-        avail = ~alloc.modules_mask(v) & all_modules
-        if not avail:
-            continue  # v already everywhere
-        candidates = list(iter_bits(avail))
-        # Only instructions containing v can be fixed by a copy of v;
-        # restrict the (re-evaluated) conflict scan accordingly.
-        relevant: dict[int, _Weighted] = {
-            y: [
-                (ops, w)
-                for ops, w in groups[y]
-                if v in ops and is_conflicting(ops)
-            ]
-            for y in range(1, k + 1)
-        }
-        score: dict[int, tuple[int, ...]] = {}
-        for m in candidates:
-            score[m] = tuple(
-                _fix_score(v, m, relevant[y], alloc)
-                for y in range(1, k + 1)
-            )
-        best_vec = max(score.values())
-        best_modules = [m for m in candidates if score[m] == best_vec]
-        if len(best_modules) == 1 or tie_break == "first":
-            chosen = best_modules[0]
-        elif tie_break == "random":
-            chosen = rng.choice(best_modules)
-        else:
-            raise ValueError(f"unknown tie_break {tie_break!r}")
-        alloc.add_copy(v, chosen)
+    ledger = ConflictLedger(operand_sets, alloc)
+    place_on_ledger(
+        values,
+        ledger,
+        ledger_groups(ledger, duplicable),
+        rng or random.Random(0),
+        tie_break,
+    )

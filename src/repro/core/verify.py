@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .allocation import Allocation
-from .bitset import sdr_exists_masks
+from .bitset import COUNTERS, sdr_exists_masks
 
 
 def find_sdr(module_sets: Sequence[Iterable[int]]) -> list[int] | None:
@@ -121,6 +121,75 @@ def conflicting_instructions(
         if not free:
             out.append(key)
     return out
+
+
+class ConflictLedger:
+    """The still-conflicting instructions of a fixed instruction list,
+    kept current while copies are added to an allocation.
+
+    Copies are only ever added, and an extra copy only widens one mask
+    of an SDR check, so a conflict-free instruction stays conflict free:
+    the conflicting set only shrinks.  :meth:`add_copy` therefore
+    re-tests just the still-conflicting rows holding the copied value.
+    Every change to ``alloc`` between construction and the last query
+    must go through :meth:`add_copy`.
+
+    Identical instructions share one row (``rows`` in first-occurrence
+    order, ``weights`` their multiplicities); ``rows_of`` maps each value
+    to the ids of the rows containing it, ascending.
+    """
+
+    __slots__ = ("alloc", "rows", "weights", "rows_of", "conflicting", "_order")
+
+    def __init__(
+        self, operand_sets: Iterable[Iterable[int]], alloc: Allocation
+    ) -> None:
+        self.alloc = alloc
+        self.rows: list[frozenset[int]] = []
+        self.weights: list[int] = []
+        #: row id of every input instruction, in input order
+        self._order: list[int] = []
+        index: dict[frozenset[int], int] = {}
+        for ops in operand_sets:
+            key = frozenset(ops)
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(self.rows)
+                self.rows.append(key)
+                self.weights.append(1)
+            else:
+                self.weights[i] += 1
+                COUNTERS.instructions_deduped += 1
+            self._order.append(i)
+        self.rows_of: dict[int, list[int]] = {}
+        for i, ops in enumerate(self.rows):
+            for v in ops:
+                self.rows_of.setdefault(v, []).append(i)
+        mask = alloc.modules_mask
+        self.conflicting: set[int] = {
+            i
+            for i, ops in enumerate(self.rows)
+            if not sdr_exists_masks([mask(v) for v in ops])
+        }
+
+    def add_copy(self, value: int, module: int) -> None:
+        """``alloc.add_copy``, then drop the rows the copy makes free."""
+        self.alloc.add_copy(value, module)
+        conflicting = self.conflicting
+        if not conflicting:
+            return
+        mask = self.alloc.modules_mask
+        for i in self.rows_of.get(value, ()):
+            if i in conflicting and sdr_exists_masks(
+                [mask(v) for v in self.rows[i]]
+            ):
+                conflicting.discard(i)
+
+    def residual(self) -> list[frozenset[int]]:
+        """The conflicting instructions in input order, repeats kept —
+        what :func:`conflicting_instructions` returns on the same list."""
+        conflicting = self.conflicting
+        return [self.rows[i] for i in self._order if i in conflicting]
 
 
 def verify_allocation(

@@ -29,10 +29,11 @@ translation is the classic stack-bytecode -> three-address destackify:
    :class:`~repro.frontends.errors.UnsupportedPythonError` naming the
    offending opcode and source line.
 
-Semantics note: TAC ``idiv``/``imod`` truncate toward zero while
-Python ``//``/``%`` floor, so they agree only for nonnegative
-operands; kernels must keep ``//`` and ``%`` operands nonnegative (the
-differential suite enforces this by construction).
+Semantics note: Python ``//``/``%`` floor, so they lower to the TAC
+``floordiv``/``floormod`` ops (``-7 // 2 == -4``, ``-7 % 2 == 1``, float
+operands as in CPython), not to the mini-language's truncating
+``idiv``/``imod``; division by zero raises ``ZeroDivisionError`` as it
+does natively.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ _BINOP_CODE = {
     "-": "sub",
     "*": "mul",
     "/": "div",
-    "//": "idiv",
-    "%": "imod",
+    "//": "floordiv",
+    "%": "floormod",
 }
 
 _CMP_CODE = {

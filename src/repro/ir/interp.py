@@ -6,7 +6,8 @@ same outputs as this interpreter for every program.
 Semantics notes:
 
 - ``idiv``/``imod`` truncate toward zero (Pascal ``div``/``mod`` on the
-  machines of the era);
+  machines of the era), exactly for int operands of any size;
+  ``floordiv``/``floormod`` are Python's ``//``/``%`` (floor);
 - uninitialised scalars read as ``0`` and uninitialised array elements
   as ``0``/``0.0`` — deterministic, so differential tests are stable;
 - ``read()`` consumes from an input list; running out raises
@@ -16,6 +17,7 @@ Semantics notes:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,7 +34,13 @@ class ExecutionLimitExceeded(RuntimeError):
 
 
 def _idiv(a: int, b: int) -> int:
-    return math.trunc(a / b) if b != 0 else _div_by_zero()
+    if b == 0:
+        return _div_by_zero()
+    if isinstance(a, int) and isinstance(b, int):
+        # integer arithmetic: a float quotient loses ints above 2**53
+        q = abs(a) // abs(b)
+        return -q if (a < 0) != (b < 0) else q
+    return math.trunc(a / b)
 
 
 def _imod(a: int, b: int) -> int:
@@ -50,6 +58,8 @@ _BINARY_EVAL: dict[str, Callable[[object, object], object]] = {
     "div": lambda a, b: a / b,
     "idiv": _idiv,
     "imod": _imod,
+    "floordiv": operator.floordiv,
+    "floormod": operator.mod,
     "min": min,
     "max": max,
     "eq": lambda a, b: a == b,

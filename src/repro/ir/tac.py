@@ -62,7 +62,7 @@ Scalar = Union[Sym, Value]
 #: Binary opcodes with their evaluation functions.
 BINARY_OPS = frozenset(
     {
-        "add", "sub", "mul", "div", "idiv", "imod",
+        "add", "sub", "mul", "div", "idiv", "imod", "floordiv", "floormod",
         "min", "max",
         "eq", "ne", "lt", "le", "gt", "ge",
         "and", "or",

@@ -10,6 +10,11 @@ long instruction, the *dynamic access event*: the scalar source values,
 the concrete array elements touched, and the scalar destinations.  The
 memory simulator (:mod:`repro.memsim`) turns those events into module
 conflicts and transfer times under a given storage allocation.
+
+Each static long instruction is decoded once per run, the first time its
+block is entered (:class:`DecodedLiw`): its operand sets and transfers
+do not change from cycle to cycle, and a long instruction touching no
+array reports one shared event object every time it executes.
 """
 
 from __future__ import annotations
@@ -52,6 +57,33 @@ class AccessEvent:
         return len(self.scalar_sources) + loads
 
 
+@dataclass(frozen=True, slots=True)
+class DecodedLiw:
+    """The static parts of one long instruction, decoded once per run."""
+
+    ops: tuple[tac.TacInstr, ...]
+    sources: frozenset[int]
+    dests: frozenset[int]
+    transfers: tuple[tuple[int, int, int], ...]
+    #: the event of every execution, when no op touches an array
+    event: AccessEvent | None
+
+    @classmethod
+    def of(cls, liw: LiwInstruction) -> "DecodedLiw":
+        sources = frozenset(liw.scalar_sources())
+        dests = frozenset(liw.scalar_dests())
+        transfers = tuple(
+            (t.value.id, t.src_module, t.dst_module)  # type: ignore[union-attr]
+            for t in liw.transfers()
+        )
+        event = (
+            None
+            if liw.array_accesses()
+            else AccessEvent(sources, (), dests, transfers)
+        )
+        return cls(tuple(liw.all_ops()), sources, dests, transfers, event)
+
+
 class Observer(Protocol):
     def __call__(self, event: AccessEvent) -> None: ...
 
@@ -86,6 +118,8 @@ class LiwExecutor:
         }
         self._by_label = {bs.label: bs for bs in schedule.blocks}
         self._by_index = {bs.block_index: bs for bs in schedule.blocks}
+        #: block_index -> its decoded long instructions, filled on entry
+        self._decoded: dict[int, list[DecodedLiw]] = {}
         self.outputs: list[object] = []
         self.cycles = 0
         #: executions of each static long instruction, keyed by
@@ -119,7 +153,7 @@ class LiwExecutor:
     # -- one long instruction ---------------------------------------------
 
     def _execute_liw(
-        self, liw: LiwInstruction
+        self, liw: DecodedLiw
     ) -> tuple[str | None, bool, AccessEvent]:
         """Returns (branch_target_label, halted, access event)."""
         writes_scalar: list[tuple[int, object]] = []
@@ -129,7 +163,7 @@ class LiwExecutor:
         target: str | None = None
         halted = False
 
-        for instr in liw.all_ops():
+        for instr in liw.ops:
             if isinstance(instr, tac.Binary):
                 a = self._value(instr.a)
                 b = self._value(instr.b)
@@ -178,15 +212,11 @@ class LiwExecutor:
             self._arrays[name][i] = val
         self.outputs.extend(out_values)
 
-        event = AccessEvent(
-            frozenset(liw.scalar_sources()),
-            tuple(touches),
-            frozenset(liw.scalar_dests()),
-            tuple(
-                (t.value.id, t.src_module, t.dst_module)  # type: ignore[union-attr]
-                for t in liw.transfers()
-            ),
-        )
+        event = liw.event
+        if event is None:
+            event = AccessEvent(
+                liw.sources, tuple(touches), liw.dests, liw.transfers
+            )
         return target, halted, event
 
     # -- main loop ----------------------------------------------------------
@@ -199,7 +229,12 @@ class LiwExecutor:
         while True:
             next_label: str | None = None
             halted = False
-            for pos, liw in enumerate(current.liws):
+            decoded = self._decoded.get(current.block_index)
+            if decoded is None:
+                decoded = self._decoded[current.block_index] = [
+                    DecodedLiw.of(liw) for liw in current.liws
+                ]
+            for pos, liw in enumerate(decoded):
                 if self.cycles >= self._max_cycles:
                     raise ExecutionLimitExceeded(
                         f"exceeded {self._max_cycles} cycles"

@@ -95,8 +95,11 @@ def fetch_sources(sets: list[frozenset[int]], loads: list[int]) -> list[int]:
     matching; either is already optimal when it exists.  Otherwise the
     least feasible max load is found by slot expansion: slot ``(l, m)``
     is the ``l``-th access to module ``m``, and a b-matching at level
-    ``L`` may use the slots with ``l <= L``.
+    ``L`` may use the slots with ``l <= L``.  Single-copy values leave
+    no choice: when every set is a singleton, that is the answer.
     """
+    if all(len(s) == 1 for s in sets):
+        return [m for s in sets for m in s]
     busy = {m for m, c in enumerate(loads) if c > 0}
     reduced = [s - busy for s in sets]
     if all(reduced):
@@ -111,7 +114,7 @@ def fetch_sources(sets: list[frozenset[int]], loads: list[int]) -> list[int]:
     level = max(loads)
     while True:
         slots = [
-            [l * k + m for m in s for l in range(loads[m] + 1, level + 1)]
+            [d * k + m for m in s for d in range(loads[m] + 1, level + 1)]
             for s in sets
         ]
         sdr = find_sdr(slots)
@@ -157,8 +160,30 @@ class MemoryReport:
         return self.t_actual - self.delta * self.transfer_instructions
 
 
+@dataclass(frozen=True, slots=True)
+class _Step:
+    """What one execution of a long instruction adds to the totals, for
+    every part fixed by its operand sets, transfers and array count."""
+
+    busy: tuple[int, ...]  # modules of the transfers' two ends
+    scalar_accesses: int
+    scalar_conflict: int  # 1 if the scalars alone pile up, else 0
+    t_min: float
+    t_ave: float
+    t_max: tuple[float, ...]  # per candidate all-arrays module
+    t_actual: float  # when no array is touched
+
+
 class MemorySimulator:
-    """Observer accumulating the Δ-model statistics of one execution."""
+    """Observer accumulating the Δ-model statistics of one execution.
+
+    The per-cycle increments depend only on the event's operand sets,
+    transfers and number of array touches, so they are computed once per
+    such key and re-added in execution order: the sums are the same
+    floats, added in the same order, as recomputing them every cycle.
+    Only t_actual of a cycle touching arrays depends on the run-time
+    array modules and is computed per cycle.
+    """
 
     def __init__(
         self,
@@ -178,6 +203,15 @@ class MemorySimulator:
             tuple[frozenset[int], frozenset[int], tuple[int, ...]],
             tuple[int, ...],
         ] = {}
+        self._steps: dict[
+            tuple[
+                frozenset[int],
+                frozenset[int],
+                tuple[tuple[int, int, int], ...],
+                int,
+            ],
+            _Step | None,
+        ] = {}
         self.instructions = 0
         self.transfer_instructions = 0
         self.scalar_accesses = 0
@@ -193,30 +227,25 @@ class MemorySimulator:
 
     def __call__(self, event: AccessEvent) -> None:
         self.instructions += 1
-        # a transfer reads the source module and writes the destination
-        busy = tuple(sorted(m for _, src, dst in event.transfers
-                            for m in (src, dst)))
-        vec = self._loads(event, busy)
         n_arr = len(event.array_touches)
-        n_scalar = sum(vec)
-        if n_arr == 0 and n_scalar == 0:
-            return
+        key = (event.scalar_sources, event.scalar_dests, event.transfers, n_arr)
+        if key in self._steps:
+            step = self._steps[key]
+        else:
+            step = self._steps[key] = self._step(event, n_arr)
+        if step is None:
+            return  # no memory access at all
 
         self.transfer_instructions += 1
-        self.scalar_accesses += n_scalar
+        self.scalar_accesses += step.scalar_accesses
         self.array_accesses += n_arr
-        scalar_max = max(vec)
-        if scalar_max > 1:
-            self.scalar_conflicts += 1
+        self.scalar_conflicts += step.scalar_conflict
+        self.t_min += step.t_min
+        self.t_ave += step.t_ave
+        t_max = self._t_max_per_module
+        for m, add in enumerate(step.t_max):
+            t_max[m] += add
 
-        delta = self._delta
-        self.t_min += delta * min_possible_max_load(vec, n_arr)
-        self.t_ave += delta * expected_max_load(vec, n_arr)
-        # t_max: all arrays stacked in module m, for every candidate m.
-        for m in range(self._k):
-            self._t_max_per_module[m] += delta * max(scalar_max, vec[m] + n_arr)
-
-        actual = vec
         if n_arr:
             # at run time the array modules are known, and the fetch unit
             # steers the scalar fetches around them
@@ -224,11 +253,40 @@ class MemorySimulator:
                 self._layout.module(t.array, t.index)
                 for t in event.array_touches
             ]
-            actual = self._loads(event, tuple(sorted([*busy, *arrays])))
-        actual_max = max(actual)
-        self.t_actual += delta * actual_max
-        if actual_max > 1:
-            self.actual_conflicts += 1
+            actual = self._loads(event, tuple(sorted([*step.busy, *arrays])))
+            actual_max = max(actual)
+            self.t_actual += self._delta * actual_max
+            if actual_max > 1:
+                self.actual_conflicts += 1
+        else:
+            # the actual loads are the scalar loads
+            self.t_actual += step.t_actual
+            self.actual_conflicts += step.scalar_conflict
+
+    def _step(self, event: AccessEvent, n_arr: int) -> _Step | None:
+        """The increments of one execution of ``event`` (None if it
+        touches no memory)."""
+        # a transfer reads the source module and writes the destination
+        busy = tuple(sorted(m for _, src, dst in event.transfers
+                            for m in (src, dst)))
+        vec = self._loads(event, busy)
+        n_scalar = sum(vec)
+        if n_arr == 0 and n_scalar == 0:
+            return None
+        scalar_max = max(vec)
+        delta = self._delta
+        return _Step(
+            busy=busy,
+            scalar_accesses=n_scalar,
+            scalar_conflict=int(scalar_max > 1),
+            t_min=delta * min_possible_max_load(vec, n_arr),
+            t_ave=delta * expected_max_load(vec, n_arr),
+            # t_max: all arrays stacked in module m, for every candidate m.
+            t_max=tuple(
+                delta * max(scalar_max, vec[m] + n_arr) for m in range(self._k)
+            ),
+            t_actual=delta * scalar_max,
+        )
 
     def _loads(
         self, event: AccessEvent, busy: tuple[int, ...]

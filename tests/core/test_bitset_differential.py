@@ -25,6 +25,7 @@ from repro.core import (
     place_copies,
 )
 from repro.core.duplication import hitting_set_duplication
+from repro.core.verify import ConflictLedger, conflicting_instructions
 from repro.core.reference import (
     ReferenceConflictGraph,
     reference_assign_modules,
@@ -355,3 +356,101 @@ def test_assign_modules_with_initial_matches_reference(seed):
     ref = reference_assign_modules(sets, k, initial=initial, seed=seed)
     assert_allocs_equal(live.allocation, ref.allocation, seed)
     assert live.stats == ref.stats
+
+
+# --------------------------------------------------------------------------
+# The conflict ledger: duplication re-tests only rows a new copy can fix
+# --------------------------------------------------------------------------
+
+
+def _ledger_case(seed: int, k: int):
+    """A wide program with repeated rows, a partial duplicable set and an
+    imported allocation holding single- and multi-copy values."""
+    rng = random.Random(seed * 7919 + k)
+    sets = random_operand_sets(seed, max_values=3 * k,
+                               max_instructions=3 * k, max_width=k + 1)
+    sets += [rng.choice(sets) for _ in range(rng.randint(0, len(sets)))]
+    rng.shuffle(sets)
+    values = sorted({v for s in sets for v in s})
+    duplicable = {v for v in values if rng.random() < 0.75}
+    initial = Allocation(k)
+    for v in rng.sample(values, len(values) // 3):
+        for m in rng.sample(range(k), rng.randint(1, min(3, k))):
+            initial.add_copy(v, m)
+    weights = [rng.randint(0, 3) for _ in sets]
+    return sets, duplicable, initial, weights
+
+
+@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("k", [5, 6, 8])
+def test_hitting_set_duplication_ledger_matches_reference(seed, k):
+    """Sizes past 4, partial duplicable sets, repeated rows and values
+    arriving with several copies: same copies, in the same order."""
+    sets, duplicable, initial, _ = _ledger_case(seed, k)
+    coloring = color_graph(ConflictGraph.from_operand_sets(sets), k)
+    alloc = initial.copy()
+    for v, m in coloring.assignment.items():
+        if not alloc.is_placed(v):
+            alloc.add_copy(v, m)
+    unassigned = [v for v in coloring.unassigned if v in duplicable]
+    live_alloc, ref_alloc = alloc.copy(), alloc.copy()
+    live = hitting_set_duplication(
+        sets, live_alloc, unassigned, duplicable, random.Random(seed)
+    )
+    ref = reference_hitting_set_duplication(
+        sets, ref_alloc, unassigned, duplicable, random.Random(seed)
+    )
+    assert_allocs_equal(live_alloc, ref_alloc, (seed, k))
+    assert live.copies_created == ref.copies_created
+    assert live.rounds_per_size == ref.rounds_per_size
+    assert live.residual_combos == ref.residual_combos
+    assert live.unreferenced_placed == ref.unreferenced_placed
+
+
+@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("k", [5, 6, 8])
+@pytest.mark.parametrize("method", ["hitting_set", "backtrack"])
+def test_assign_modules_ledger_matches_reference(seed, k, method):
+    sets, duplicable, initial, weights = _ledger_case(seed, k)
+    for kwargs in (
+        {"duplicable": duplicable, "initial": initial},
+        {"weights": weights, "initial": initial},
+        {"duplicable": duplicable, "weights": weights},
+    ):
+        live = assign_modules(sets, k, method=method, seed=seed, **kwargs)
+        ref = reference_assign_modules(
+            sets, k, method=method, seed=seed, **kwargs
+        )
+        ctx = (seed, k, method, sorted(kwargs))
+        assert_allocs_equal(live.allocation, ref.allocation, ctx)
+        assert live.stats == ref.stats, ctx
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_ledger_tracks_conflicts_after_every_copy(seed, k, monkeypatch):
+    """After every ``ConflictLedger.add_copy`` the ledger's conflicting
+    rows are exactly those a from-scratch check finds."""
+    sets, duplicable, initial, _ = _ledger_case(seed, k)
+    checked = []
+    add_copy = ConflictLedger.add_copy
+
+    def add_copy_and_check(self, value, module):
+        add_copy(self, value, module)
+        want = set(conflicting_instructions(self.rows, self.alloc))
+        assert {self.rows[i] for i in self.conflicting} == want
+        assert self.residual() == conflicting_instructions(
+            [self.rows[i] for i in self._order], self.alloc
+        )
+        checked.append(value)
+
+    monkeypatch.setattr(ConflictLedger, "add_copy", add_copy_and_check)
+    result = assign_modules(sets, k, duplicable=duplicable, initial=initial,
+                            all_values=range(40), seed=seed)
+    assert result.stats.residual_instructions == conflicting_instructions(
+        sets, result.allocation
+    )
+    # every copy made after colouring went through the ledger, and
+    # values never used by an instruction (ids past the program's) got
+    # theirs there too
+    assert len(checked) == result.stats.copies_created > 0

@@ -27,6 +27,51 @@ def test_imod_matches_trunc_division():
     assert res.outputs == [1, -1, 1]
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (10**18 + 1, 1),
+        (2**53 + 1, 1),
+        (-(2**53) - 1, 1),
+        (10**18 + 1, 3),
+        (-(10**18) - 1, 3),
+        (10**18 + 1, -3),
+        (-(10**18) - 1, -3),
+        (2**64 + 7, 2**32 + 1),
+        (-7, 2),
+        (7, -2),
+        (-7, -2),
+        (0, -5),
+    ],
+)
+def test_idiv_imod_exact_on_large_and_negative_ints(a, b):
+    """Truncation toward zero with integer arithmetic: no float detour,
+    so operands above 2**53 keep every digit."""
+    from repro.ir.interp import _BINARY_EVAL
+
+    q = _BINARY_EVAL["idiv"](a, b)
+    r = _BINARY_EVAL["imod"](a, b)
+    want_q = abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
+    assert q == want_q and type(q) is int
+    assert r == a - b * want_q
+    assert abs(r) < abs(b) and (r == 0 or (r < 0) == (a < 0))
+
+
+def test_idiv_of_floats_still_truncates():
+    from repro.ir.interp import _BINARY_EVAL
+
+    assert _BINARY_EVAL["idiv"](-7.5, 2) == -3
+    assert _BINARY_EVAL["imod"](-7.5, 2) == -1.5
+
+
+@pytest.mark.parametrize("op", ["idiv", "imod", "floordiv", "floormod"])
+def test_integer_division_ops_by_zero_raise(op):
+    from repro.ir.interp import _BINARY_EVAL
+
+    with pytest.raises(ZeroDivisionError):
+        _BINARY_EVAL[op](7, 0)
+
+
 def test_real_division():
     res = run("write(7 / 2)")
     assert res.outputs == [3.5]

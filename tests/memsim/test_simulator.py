@@ -69,6 +69,14 @@ class TestScalarLoadVector:
                                  alloc, 4)
         assert vec == (2, 2, 0, 0)
 
+    def test_single_copy_sources_pile_on_their_only_module(self):
+        # no choice to make: colliding single copies and a busy module
+        # stack up exactly where the values live
+        alloc = alloc_of({1: [0], 2: [0], 3: [1]})
+        vec = scalar_load_vector(frozenset({1, 2, 3}), frozenset(), alloc, 4,
+                                 busy=(0, 3))
+        assert vec == (3, 1, 0, 1)
+
     def test_unplaced_operand_raises(self):
         alloc = alloc_of({})
         with pytest.raises(ValueError):
